@@ -19,7 +19,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kernels"
 	"repro/internal/mapreduce"
-	"repro/internal/relational"
 	"repro/internal/sdn"
 	"repro/internal/sql"
 	"repro/internal/workload"
@@ -332,14 +331,25 @@ func BenchmarkSubstringScan(b *testing.B) {
 	}
 }
 
+// demoBenchEngine builds an engine under cfg over the demo catalog.
+func demoBenchEngine(cfg sql.Config, salesRows, customers int) *sql.Engine {
+	eng, err := sql.NewEngine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	sql.RegisterDemo(eng, 42, salesRows, customers)
+	return eng
+}
+
 func BenchmarkSQLJoinAggregate(b *testing.B) {
-	db := sql.DemoDB(42, 20000, 500)
+	sess := demoBenchEngine(sql.DefaultConfig(), 20000, 500).Session()
 	q := `SELECT c.segment, SUM(s.price) AS total
 	      FROM sales s JOIN customers c ON s.customer_id = c.customer_id
 	      GROUP BY c.segment ORDER BY total DESC`
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := sess.Query(ctx, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,21 +361,32 @@ func BenchmarkSQLJoinAggregate(b *testing.B) {
 // the batch engine (default options); the *Serial* counterparts disable
 // it. The paper's Section IV argument is exactly this gap.
 
-var sqlBenchDB = sync.OnceValue(func() *sql.DB {
-	return sql.DemoDB(42, 1<<20, 2000)
+// sqlBenchEngines maps Config.Parallel to an engine; both share one
+// 1M-row catalog.
+var sqlBenchEngines = sync.OnceValue(func() map[bool]*sql.Engine {
+	batch := demoBenchEngine(sql.DefaultConfig(), 1<<20, 2000)
+	cfg := sql.DefaultConfig()
+	cfg.Parallel = false
+	row, err := sql.NewEngine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	for _, name := range []string{"sales", "customers"} {
+		rel, _ := batch.Table(name)
+		row.Register(rel)
+	}
+	return map[bool]*sql.Engine{true: batch, false: row}
 })
 
 func benchSQLEngine(b *testing.B, q string, parallel bool) {
 	b.Helper()
-	db := sqlBenchDB()
-	db.Opt.Parallel = parallel
+	sess := sqlBenchEngines()[parallel].Session()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(q)
-		if err != nil {
+		if _, err := sess.Query(ctx, q); err != nil {
 			b.Fatal(err)
 		}
-		_ = res
 	}
 }
 
@@ -388,28 +409,25 @@ func BenchmarkSQLSerialGroupBy(b *testing.B)   { benchSQLEngine(b, sqlGroupByQue
 // metrics report what the fabric moved — the roadmap's thesis is that
 // this, not the scan speed, bounds scale-out analytics.
 
-var sqlDistBenchDB = sync.OnceValue(func() *sql.DB {
-	db := sql.DemoDB(42, 1<<20, 2000)
-	db.Opt.Distributed = true
-	db.Opt.Shards = 4
-	return db
+var sqlDistBenchEngine = sync.OnceValue(func() *sql.Engine {
+	cfg := sql.DefaultConfig()
+	cfg.Distributed = true
+	cfg.Shards = 4
+	return demoBenchEngine(cfg, 1<<20, 2000)
 })
 
 func benchSQLDistributed(b *testing.B, q string) {
 	b.Helper()
-	db := sqlDistBenchDB()
+	sess := sqlDistBenchEngine().Session()
+	ctx := context.Background()
 	var bytes, sec float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := db.Plan(q)
+		res, err := sess.Query(ctx, q)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := relational.Collect(plan.Root, "result"); err != nil {
-			b.Fatal(err)
-		}
-		s := plan.NetStats()
-		bytes, sec = s.BytesShuffled, s.NetSeconds
+		bytes, sec = res.Net.BytesShuffled, res.Net.NetSeconds
 	}
 	b.ReportMetric(bytes, "bytes_shuffled")
 	b.ReportMetric(sec*1e6, "net_µs")

@@ -88,7 +88,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/exec"
 	"repro/internal/lifecycle"
-	"repro/internal/memtier"
 	"repro/internal/metrics"
 	"repro/internal/relational"
 	"repro/internal/sdn"
@@ -105,13 +104,10 @@ func main() {
 	seed := flag.Uint64("seed", 42, "data generation seed")
 	explain := flag.Bool("explain", false, "print the plan instead of executing")
 	serial := flag.Bool("serial", false, "run on the row-at-a-time engine instead of the batch engine")
-	workers := flag.Int("workers", 0, "batch engine workers per host (0 = NumCPU)")
 	distMode := flag.Bool("dist", false, "execute shard-parallel over a simulated datacenter fabric")
 	shards := flag.Int("shards", 4, "worker hosts in distributed mode")
 	topology := flag.String("topo", "leafspine", "distributed fabric: leafspine, single, fattree, torus")
-	distJoin := flag.String("dist-join", "auto", "distributed join movement: auto, broadcast, repartition")
 	hashShard := flag.Bool("hash-shard", false, "hash-partition tables instead of range partitioning")
-	pipelineChunk := flag.Int("pipeline-chunk", 0, "pipelined movement chunk size in rows; phases overlap compute with the next chunk's flows (0 = bulk phases)")
 	concurrency := flag.Int("concurrency", 1, "parallel sessions executing the query list against the shared fabric")
 	timeout := flag.Duration("timeout", 0, "per-query context timeout (0 = none)")
 	priority := flag.String("priority", "", "QoS class for the first session (others stay best-effort); e.g. interactive, batch")
@@ -119,8 +115,6 @@ func main() {
 	sdnPolicy := flag.String("sdn", "", "fabric controller policy: "+strings.Join(sdn.Policies, ", ")+" (empty = fixed data plane)")
 	devices := flag.String("devices", "", "heterogeneous device set, comma-separated from "+strings.Join(exec.DeviceNames, ",")+" (empty = homogeneous CPU engine)")
 	placement := flag.String("placement", "auto", "morsel placement policy over -devices: "+strings.Join(exec.Placements, ", "))
-	memBudget := flag.Int64("mem-budget", 0, "operator-state memory budget in bytes; overflow spills to -spill-tier (0 = unbudgeted)")
-	spillTier := flag.String("spill-tier", "", "spill tier for budget overflow: "+strings.Join(memtier.SpillTiers, ", ")+" (default ssd when budgeted)")
 	jsonOut := flag.Bool("json", false, "emit each result as one canonical wire-format JSON document (the same encoding rethinkd serves) instead of tables")
 	replication := flag.Int("replication", 0, "shard replica count (R>1 enables the elastic lifecycle layer; requires -dist)")
 	chaos := flag.String("chaos", "", "fault schedule: kill:W@P[:FRAC],slow:W@R[:FACTOR],degrade:W@P[:FACTOR],partition:W@P,seed:N (requires -dist)")
@@ -128,23 +122,19 @@ func main() {
 	streamWindow := flag.Int64("stream-window", 100, "window size in event-time ticks for -stream")
 	streamSlide := flag.Int64("stream-slide", 0, "window slide in ticks for -stream (0 = tumbling)")
 	streamLateness := flag.Int64("stream-lateness", 5, "event-time disorder to absorb before emitting, for -stream")
+	cfg := sql.DefaultConfig()
+	cfg.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	cfg := sql.DefaultConfig()
 	cfg.Parallel = !*serial
-	cfg.Workers = *workers
 	cfg.Distributed = *distMode
 	cfg.Shards = *shards
 	cfg.Topology = *topology
-	cfg.DistJoin = *distJoin
 	cfg.ShardHash = *hashShard
-	cfg.PipelineChunkRows = *pipelineChunk
 	if *devices != "" {
 		cfg.Devices = strings.Split(*devices, ",")
 		cfg.Placement = *placement
 	}
-	cfg.MemoryBudget = *memBudget
-	cfg.SpillTier = *spillTier
 	cfg.Replication = *replication
 	if *chaos != "" {
 		plan, err := lifecycle.ParsePlan(*chaos, *shards)

@@ -61,32 +61,23 @@ func main() {
 	customers := flag.Int("customers", 500, "demo customer dimension rows")
 	seed := flag.Uint64("seed", 42, "demo data generation seed")
 	serial := flag.Bool("serial", false, "run on the row-at-a-time engine instead of the batch engine")
-	workers := flag.Int("workers", 0, "batch engine workers per host (0 = NumCPU)")
 	distMode := flag.Bool("dist", true, "execute shard-parallel over a simulated datacenter fabric (the serving default: tenant QoS needs a fabric to matter)")
 	shards := flag.Int("shards", 4, "worker hosts in distributed mode")
 	topology := flag.String("topo", "leafspine", "distributed fabric: leafspine, single, fattree, torus")
-	distJoin := flag.String("dist-join", "auto", "distributed join movement: auto, broadcast, repartition")
 	hashShard := flag.Bool("hash-shard", false, "hash-partition tables instead of range partitioning")
-	pipelineChunk := flag.Int("pipeline-chunk", 0, "pipelined movement chunk size in rows (0 = bulk phases)")
 	sdnPolicy := flag.String("sdn", "", "fabric controller policy: "+strings.Join(sdn.Policies, ", ")+" (empty = fixed data plane)")
-	memBudget := flag.Int64("mem-budget", 0, "engine-default operator-state memory budget in bytes (tenants may tighten)")
-	spillTier := flag.String("spill-tier", "", "spill tier for budget overflow (default ssd when budgeted)")
 	replication := flag.Int("replication", 0, "shard replica count (R>1 enables the elastic lifecycle layer: /v1/hosts, read-side failover)")
 	chaos := flag.String("chaos", "", "fault schedule: kill:W@P[:FRAC],slow:W@R[:FACTOR],degrade:W@P[:FACTOR],partition:W@P,seed:N")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
+	cfg := sql.DefaultConfig()
+	cfg.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	cfg := sql.DefaultConfig()
 	cfg.Parallel = !*serial
-	cfg.Workers = *workers
 	cfg.Distributed = *distMode
 	cfg.Shards = *shards
 	cfg.Topology = *topology
-	cfg.DistJoin = *distJoin
 	cfg.ShardHash = *hashShard
-	cfg.PipelineChunkRows = *pipelineChunk
-	cfg.MemoryBudget = *memBudget
-	cfg.SpillTier = *spillTier
 	cfg.Replication = *replication
 	if *chaos != "" {
 		plan, err := lifecycle.ParsePlan(*chaos, *shards)

@@ -8,9 +8,9 @@ import (
 )
 
 // PlanCache is the server-side prepared-statement cache: one validated
-// sql.Stmt per (tenant, statement text, session-config), so repeated
-// submissions of the same statement skip the parse-and-validate pass
-// and the daemon's hot path is Bind + Exec.
+// sql.Stmt per PlanKey, so repeated submissions of the same statement
+// skip the parse-and-validate pass and the daemon's hot path is Bind +
+// Exec.
 //
 // Staleness is impossible by construction rather than by discipline:
 // every entry records the engine's catalog epoch at preparation, and a
@@ -29,7 +29,7 @@ type PlanCache struct {
 	mu  sync.Mutex
 	cap int
 	lru *list.List // front = most recent; values are *cacheEntry
-	byK map[string]*list.Element
+	byK map[PlanKey]*list.Element
 
 	hits          uint64
 	misses        uint64
@@ -37,8 +37,21 @@ type PlanCache struct {
 	evictions     uint64
 }
 
+// PlanKey identifies one cached statement: the tenant, every tenant
+// setting its sessions plan or run under, and the statement text — two
+// tenants (or one reconfigured tenant) never share an entry unless all
+// of them agree. MaxInflight, RatePerSec and Burst are deliberately
+// absent: they gate admission, not planning.
+type PlanKey struct {
+	Tenant    string
+	Options   sql.QueryOptions
+	Priority  string
+	Weight    float64
+	Statement string
+}
+
 type cacheEntry struct {
-	key   string
+	key   PlanKey
 	stmt  *sql.Stmt
 	epoch uint64
 }
@@ -58,19 +71,19 @@ func NewPlanCache(capacity int) *PlanCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &PlanCache{cap: capacity, lru: list.New(), byK: map[string]*list.Element{}}
+	return &PlanCache{cap: capacity, lru: list.New(), byK: map[PlanKey]*list.Element{}}
 }
 
-// Key builds the canonical cache key.
-func (c *PlanCache) Key(tenant *Tenant, statement string) string {
-	return tenant.Name + "\x00" + tenant.configKey() + "\x00" + statement
+// Key builds the cache key of a tenant's statement.
+func (c *PlanCache) Key(tenant *Tenant, statement string) PlanKey {
+	return PlanKey{tenant.Name, tenant.QueryOptions, tenant.Priority, tenant.Weight, statement}
 }
 
 // Get returns the cached statement for key if one exists AND it was
 // prepared under the given catalog epoch. An entry from an older epoch
 // is removed and counted as an invalidation (the caller re-prepares); a
 // plain absence is a miss.
-func (c *PlanCache) Get(key string, epoch uint64) (*sql.Stmt, bool) {
+func (c *PlanCache) Get(key PlanKey, epoch uint64) (*sql.Stmt, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byK[key]
@@ -93,7 +106,7 @@ func (c *PlanCache) Get(key string, epoch uint64) (*sql.Stmt, bool) {
 // Put stores a statement prepared under the given epoch, evicting the
 // least recently used entry when full. A concurrent Put for the same
 // key just refreshes the entry.
-func (c *PlanCache) Put(key string, stmt *sql.Stmt, epoch uint64) {
+func (c *PlanCache) Put(key PlanKey, stmt *sql.Stmt, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byK[key]; ok {

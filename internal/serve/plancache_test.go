@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/relational"
@@ -102,6 +103,42 @@ func TestPlanCacheKeying(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeyCoversEveryKnob: changing any per-query option, the
+// priority or the weight changes the cache key, so a knob added to
+// sql.QueryOptions later cannot be left out of the key.
+func TestPlanCacheKeyCoversEveryKnob(t *testing.T) {
+	c := NewPlanCache(8)
+	base := Tenant{Name: "gold", APIKey: "g"}
+	const q = "SELECT 1"
+	changed := func(field reflect.Value) {
+		switch field.Kind() {
+		case reflect.String:
+			field.SetString("x")
+		case reflect.Int, reflect.Int64:
+			field.SetInt(1)
+		case reflect.Float64:
+			field.SetFloat(1)
+		default:
+			t.Fatalf("unhandled field kind %s", field.Kind())
+		}
+	}
+	opts := reflect.TypeOf(sql.QueryOptions{})
+	for i := 0; i < opts.NumField(); i++ {
+		tn := base
+		changed(reflect.ValueOf(&tn.QueryOptions).Elem().Field(i))
+		if c.Key(&base, q) == c.Key(&tn, q) {
+			t.Errorf("QueryOptions.%s does not reach the cache key", opts.Field(i).Name)
+		}
+	}
+	for _, name := range []string{"Priority", "Weight"} {
+		tn := base
+		changed(reflect.ValueOf(&tn).Elem().FieldByName(name))
+		if c.Key(&base, q) == c.Key(&tn, q) {
+			t.Errorf("Tenant.%s does not reach the cache key", name)
+		}
+	}
+}
+
 // TestPlanCacheLRU: capacity bounds hold and eviction is
 // least-recently-used.
 func TestPlanCacheLRU(t *testing.T) {
@@ -112,16 +149,17 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewPlanCache(2)
-	c.Put("a", stmt, 1)
-	c.Put("b", stmt, 1)
-	if _, ok := c.Get("a", 1); !ok { // refresh a; b is now LRU
+	a, b, cc := PlanKey{Statement: "a"}, PlanKey{Statement: "b"}, PlanKey{Statement: "c"}
+	c.Put(a, stmt, 1)
+	c.Put(b, stmt, 1)
+	if _, ok := c.Get(a, 1); !ok { // refresh a; b is now LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", stmt, 1)
-	if _, ok := c.Get("b", 1); ok {
+	c.Put(cc, stmt, 1)
+	if _, ok := c.Get(b, 1); ok {
 		t.Fatal("b should have been evicted (LRU)")
 	}
-	if _, ok := c.Get("a", 1); !ok {
+	if _, ok := c.Get(a, 1); !ok {
 		t.Fatal("a evicted out of LRU order")
 	}
 	st := c.Stats()
@@ -139,8 +177,9 @@ func TestPlanCacheEpochMismatchCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewPlanCache(4)
-	c.Put("k", stmt, 7)
-	if _, ok := c.Get("k", 8); ok {
+	k := PlanKey{Statement: "k"}
+	c.Put(k, stmt, 7)
+	if _, ok := c.Get(k, 8); ok {
 		t.Fatal("stale-epoch entry served")
 	}
 	st := c.Stats()
@@ -148,7 +187,7 @@ func TestPlanCacheEpochMismatchCounts(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Entry is gone, so a retry at the old epoch is a plain miss.
-	if _, ok := c.Get("k", 7); ok {
+	if _, ok := c.Get(k, 7); ok {
 		t.Fatal("removed entry resurrected")
 	}
 }

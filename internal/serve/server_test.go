@@ -245,17 +245,30 @@ func TestTenantsValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		list []Tenant
+		err  string
 	}{
-		{"empty", nil},
-		{"no key", []Tenant{{Name: "a"}}},
-		{"dup name", []Tenant{{Name: "a", APIKey: "k1"}, {Name: "a", APIKey: "k2"}}},
-		{"dup key", []Tenant{{Name: "a", APIKey: "k"}, {Name: "b", APIKey: "k"}}},
-		{"negative weight", []Tenant{{Name: "a", APIKey: "k", Weight: -1}}},
+		{"empty", nil, "serve: no tenants configured"},
+		{"no key", []Tenant{{Name: "a"}}, "serve: tenant 0 needs a name and an api_key"},
+		{"dup name", []Tenant{{Name: "a", APIKey: "k1"}, {Name: "a", APIKey: "k2"}}, `serve: duplicate tenant name "a"`},
+		{"dup key", []Tenant{{Name: "a", APIKey: "k"}, {Name: "b", APIKey: "k"}}, "serve: duplicate api key (tenant b)"},
+		{"negative weight", []Tenant{{Name: "a", APIKey: "k", Weight: -1}}, "serve: tenant a: negative weight -1"},
+		{"unknown spill tier", []Tenant{{Name: "a", APIKey: "k", QueryOptions: sql.QueryOptions{SpillTier: "tape"}}},
+			`serve: tenant a: memtier: unknown spill tier "tape" (have nvm, ssd, disk)`},
+		{"negative memory budget", []Tenant{{Name: "a", APIKey: "k", QueryOptions: sql.QueryOptions{MemoryBudget: -5}}},
+			"serve: tenant a: sql: negative MemoryBudget -5"},
+		{"unknown dist join", []Tenant{{Name: "a", APIKey: "k", QueryOptions: sql.QueryOptions{DistJoin: "teleport"}}},
+			`serve: tenant a: sql: unknown DistJoin strategy "teleport"`},
+		{"negative pipeline chunk", []Tenant{{Name: "a", APIKey: "k", QueryOptions: sql.QueryOptions{PipelineChunkRows: -3}}},
+			"serve: tenant a: sql: negative PipelineChunkRows -3"},
+		{"unknown placement", []Tenant{{Name: "a", APIKey: "k", QueryOptions: sql.QueryOptions{Placement: "quantum"}}},
+			`serve: tenant a: exec: unknown placement "quantum" (have auto, cpu, gpu, fpga)`},
 	}
 	for _, c := range cases {
-		if _, err := NewTenants(c.list); err == nil {
-			t.Errorf("%s: expected error", c.name)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := NewTenants(c.list); err == nil || err.Error() != c.err {
+				t.Fatalf("err = %v, want %q", err, c.err)
+			}
+		})
 	}
 	ts, err := ParseTenants([]byte(`[{"name":"x","api_key":"xk","weight":2,"priority":"batch"}]`))
 	if err != nil {
@@ -264,6 +277,18 @@ func TestTenantsValidation(t *testing.T) {
 	tenant, ok := ts.ByKey("xk")
 	if !ok || tenant.Weight != 2 || tenant.Priority != "batch" {
 		t.Fatalf("parsed tenant = %+v", tenant)
+	}
+
+	// Every per-query JSON key lands in the embedded QueryOptions.
+	ts, err = ParseTenants([]byte(`[{"name":"y","api_key":"yk","workers":3,"dist_join":"broadcast",
+		"placement":"gpu","memory_budget":4096,"spill_tier":"nvm","pipeline_chunk_rows":128}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sql.QueryOptions{Workers: 3, DistJoin: "broadcast", Placement: "gpu",
+		MemoryBudget: 4096, SpillTier: "nvm", PipelineChunkRows: 128}
+	if tenant, _ := ts.ByName("y"); tenant.QueryOptions != want {
+		t.Fatalf("parsed options = %+v, want %+v", tenant.QueryOptions, want)
 	}
 }
 

@@ -25,23 +25,12 @@ type Tenant struct {
 	// Weight is the tenant's weighted max-min scheduling weight
 	// (sql.Session.Weight); 0 inherits uniform weight 1.
 	Weight float64 `json:"weight,omitempty"`
-	// Workers overrides per-host batch parallelism (sql.Session.Workers).
-	Workers int `json:"workers,omitempty"`
-	// MemoryBudget caps the tenant's resident operator state in bytes
-	// (sql.Session.MemoryBudget); 0 inherits the engine's.
-	MemoryBudget int64 `json:"memory_budget,omitempty"`
-	// SpillTier names where the tenant's budget overflow spills
-	// ("nvm", "ssd", "disk"); "" inherits the engine's.
-	SpillTier string `json:"spill_tier,omitempty"`
-	// Placement overrides the morsel placement policy over the engine's
-	// device set; "" inherits the engine's.
-	Placement string `json:"placement,omitempty"`
-	// DistJoin overrides the distributed join movement strategy; ""
-	// inherits the engine's.
-	DistJoin string `json:"dist_join,omitempty"`
-	// PipelineChunkRows overrides the pipelined-movement chunk size; 0
-	// inherits the engine's.
-	PipelineChunkRows int `json:"pipeline_chunk_rows,omitempty"`
+	// QueryOptions override the engine's per-query knobs for every
+	// query the tenant submits (sql.Session.QueryOptions); zero fields
+	// inherit the engine's. Their JSON keys sit at the top level of the
+	// tenant object: workers, dist_join, placement, memory_budget,
+	// spill_tier, pipeline_chunk_rows.
+	sql.QueryOptions
 	// MaxInflight caps the tenant's concurrently executing queries: a
 	// submission past the cap is refused with 429 and a Retry-After hint
 	// instead of queueing, so one tenant's burst cannot monopolize the
@@ -77,27 +66,9 @@ func (t *Tenant) burst() float64 {
 // Sessions are cheap; the server opens one per request.
 func (t *Tenant) Session(eng *sql.Engine) *sql.Session {
 	s := eng.Session()
-	s.Priority = t.Priority
-	s.Weight = t.Weight
-	s.Workers = t.Workers
-	s.MemoryBudget = t.MemoryBudget
-	s.SpillTier = t.SpillTier
-	s.Placement = t.Placement
-	s.DistJoin = t.DistJoin
-	s.PipelineChunkRows = t.PipelineChunkRows
+	s.QueryOptions = t.QueryOptions
+	s.Priority, s.Weight = t.Priority, t.Weight
 	return s
-}
-
-// configKey renders the tenant's effective session configuration as a
-// deterministic string — the "session-config" leg of the plan-cache
-// key, so two tenants (or one reconfigured tenant) never share a cached
-// statement unless every knob that affects planning agrees. MaxInflight,
-// RatePerSec and Burst are deliberately absent: they gate admission, not
-// planning.
-func (t *Tenant) configKey() string {
-	return fmt.Sprintf("%s|%g|%d|%d|%s|%s|%s|%d",
-		t.Priority, t.Weight, t.Workers, t.MemoryBudget, t.SpillTier,
-		t.Placement, t.DistJoin, t.PipelineChunkRows)
 }
 
 // Tenants is an immutable tenant set with API-key lookup.
@@ -108,7 +79,8 @@ type Tenants struct {
 }
 
 // NewTenants validates the set: names and API keys must be non-empty
-// and unique, weights non-negative.
+// and unique, weights and limits non-negative, and the per-query
+// options well-formed (sql.QueryOptions.Validate).
 func NewTenants(list []Tenant) (*Tenants, error) {
 	if len(list) == 0 {
 		return nil, fmt.Errorf("serve: no tenants configured")
@@ -121,6 +93,9 @@ func NewTenants(list []Tenant) (*Tenants, error) {
 		}
 		if t.Weight < 0 {
 			return nil, fmt.Errorf("serve: tenant %s: negative weight %g", t.Name, t.Weight)
+		}
+		if err := t.QueryOptions.Validate(); err != nil {
+			return nil, fmt.Errorf("serve: tenant %s: %w", t.Name, err)
 		}
 		if t.MaxInflight < 0 {
 			return nil, fmt.Errorf("serve: tenant %s: negative max_inflight %d", t.Name, t.MaxInflight)

@@ -630,15 +630,7 @@ func identityPicks(n int) []int {
 // Explain describes the shape); data movement and fragment execution run
 // lazily when the plan's root is first pulled.
 func (pl *planner) planDistStmt(stmt *SelectStmt) (*Planned, error) {
-	switch pl.cfg.DistJoin {
-	case "", "auto", "broadcast", "repartition":
-	default:
-		return nil, fmt.Errorf("sql: unknown DistJoin strategy %q", pl.cfg.DistJoin)
-	}
-	cluster, fabric, err := pl.eng.clusterFor(pl.cfg)
-	if err != nil {
-		return nil, err
-	}
+	cluster, fabric := pl.eng.cluster, pl.eng.fabric
 	shards := cluster.Shards()
 	workers := pl.cfg.Workers
 	p := &Planned{TaggedOps: map[string]relational.Op{}}

@@ -1,19 +1,27 @@
 package sql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/relational"
 )
 
-// distDB returns a DemoDB configured for distributed execution.
-func distDB(seed uint64, rows, customers, shards int, hash bool) *DB {
-	db := DemoDB(seed, rows, customers)
-	db.Opt.Distributed = true
-	db.Opt.Shards = shards
-	db.Opt.ShardHash = hash
-	return db
+// distConfig is the distributed engine over shards hosts, hash- or
+// range-sharded, with the given join movement ("" = auto).
+func distConfig(shards int, hash bool, distJoin string) Config {
+	cfg := DefaultConfig()
+	cfg.Distributed = true
+	cfg.Shards = shards
+	cfg.ShardHash = hash
+	cfg.DistJoin = distJoin
+	return cfg
+}
+
+// distDemo is a distributed engine over the demo catalog.
+func distDemo(t *testing.T, seed uint64, rows, customers, shards int, hash bool) *Engine {
+	return engineOver(t, distConfig(shards, hash, ""), demoRels(seed, rows, customers)...)
 }
 
 // TestDistributedMatchesSingleNode is the determinism proof for the
@@ -21,12 +29,13 @@ func distDB(seed uint64, rows, customers, shards int, hash bool) *DB {
 // identical output to the serial row engine across shard counts 1/2/8
 // under both range and hash table sharding.
 func TestDistributedMatchesSingleNode(t *testing.T) {
-	serialDB := DemoDB(7, 5000, 120)
+	rels := demoRels(7, 5000, 120)
+	serial := engineOver(t, serialConfig(), rels...)
 	for _, hash := range []bool{false, true} {
 		for _, shards := range []int{1, 2, 8} {
-			db := distDB(7, 5000, 120, shards, hash)
+			eng := engineOver(t, distConfig(shards, hash, ""), rels...)
 			for _, q := range parityQueries {
-				runBoth(t, serialDB, db, q)
+				runBoth(t, serial, eng, q)
 			}
 		}
 	}
@@ -35,7 +44,8 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 // TestDistributedJoinStrategies pins parity under both forced join
 // movements — broadcast and hash repartition — for every join query.
 func TestDistributedJoinStrategies(t *testing.T) {
-	serialDB := DemoDB(7, 4000, 100)
+	rels := demoRels(7, 4000, 100)
+	serial := engineOver(t, serialConfig(), rels...)
 	joinQueries := []string{
 		"SELECT COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id",
 		"SELECT c.segment, SUM(s.price * (1 - s.discount)) AS net FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment ORDER BY net DESC",
@@ -44,18 +54,17 @@ func TestDistributedJoinStrategies(t *testing.T) {
 	}
 	for _, strat := range []string{"broadcast", "repartition"} {
 		for _, shards := range []int{2, 8} {
-			db := distDB(7, 4000, 100, shards, false)
-			db.Opt.DistJoin = strat
+			eng := engineOver(t, distConfig(shards, false, strat), rels...)
 			for _, q := range joinQueries {
-				runBoth(t, serialDB, db, q)
+				runBoth(t, serial, eng, q)
 			}
 		}
 	}
 }
 
-// skewDB builds a catalog whose fact table concentrates ~half its rows
+// skewRels builds a catalog whose fact table concentrates ~half its rows
 // on one join/group key, so hash repartitioning piles them on one shard.
-func skewDB() *DB {
+func skewRels() []*relational.Relation {
 	facts := relational.NewRelation("facts", relational.Schema{
 		{Name: "id", Type: relational.Int},
 		{Name: "key", Type: relational.Int},
@@ -77,10 +86,7 @@ func skewDB() *DB {
 	for k := 0; k < 37; k++ {
 		dims.MustAppend(relational.Row{relational.IntV(int64(k)), relational.StringV(strings.Repeat("x", k%5+1))})
 	}
-	db := NewDB()
-	db.Register(facts)
-	db.Register(dims)
-	return db
+	return []*relational.Relation{facts, dims}
 }
 
 // TestDistributedSkewedKeys: a hot key must not perturb results under
@@ -91,17 +97,13 @@ func TestDistributedSkewedKeys(t *testing.T) {
 		"SELECT d.label, COUNT(*) AS n FROM facts f JOIN dims d ON f.key = d.key GROUP BY d.label ORDER BY n DESC, d.label",
 		"SELECT f.id FROM facts f JOIN dims d ON f.key = d.key WHERE f.val > 10.0 ORDER BY f.id LIMIT 50",
 	}
-	serial := skewDB()
-	serial.Opt.Parallel = false
+	rels := skewRels()
+	serial := engineOver(t, serialConfig(), rels...)
 	for _, hash := range []bool{false, true} {
 		for _, strat := range []string{"broadcast", "repartition"} {
-			db := skewDB()
-			db.Opt.Distributed = true
-			db.Opt.Shards = 8
-			db.Opt.ShardHash = hash
-			db.Opt.DistJoin = strat
+			eng := engineOver(t, distConfig(8, hash, strat), rels...)
 			for _, q := range queries {
-				runBoth(t, serial, db, q)
+				runBoth(t, serial, eng, q)
 			}
 		}
 	}
@@ -110,23 +112,23 @@ func TestDistributedSkewedKeys(t *testing.T) {
 // TestDistributedEmptyShards: tables smaller than the shard count leave
 // shards empty; results must not change.
 func TestDistributedEmptyShards(t *testing.T) {
-	serialDB := DemoDB(11, 5, 3)
+	rels := demoRels(11, 5, 3)
+	serial := engineOver(t, serialConfig(), rels...)
 	for _, hash := range []bool{false, true} {
-		db := distDB(11, 5, 3, 8, hash)
+		eng := engineOver(t, distConfig(8, hash, ""), rels...)
 		for _, q := range parityQueries {
-			runBoth(t, serialDB, db, q)
+			runBoth(t, serial, eng, q)
 		}
 	}
 }
 
 // TestDistributedEmptyTables pins the zero-row edge case.
 func TestDistributedEmptyTables(t *testing.T) {
-	serialDB := emptyDemoDB()
-	db := emptyDemoDB()
-	db.Opt.Distributed = true
-	db.Opt.Shards = 4
+	rels := emptyDemoRels()
+	serial := engineOver(t, serialConfig(), rels...)
+	eng := engineOver(t, distConfig(4, false, ""), rels...)
 	for _, q := range parityQueries {
-		runBoth(t, serialDB, db, q)
+		runBoth(t, serial, eng, q)
 	}
 }
 
@@ -134,7 +136,7 @@ func TestDistributedEmptyTables(t *testing.T) {
 // second join moves a stream whose seq tags were duplicated by the
 // first join's fan-out.
 func TestDistributedThreeTableJoin(t *testing.T) {
-	build := func() *DB {
+	build := func() []*relational.Relation {
 		a := relational.NewRelation("a", relational.Schema{
 			{Name: "ak", Type: relational.Int}, {Name: "av", Type: relational.Int},
 		})
@@ -153,26 +155,19 @@ func TestDistributedThreeTableJoin(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			c.MustAppend(relational.Row{relational.IntV(int64(i)), relational.IntV(int64(i * 100))})
 		}
-		db := NewDB()
-		db.Register(a)
-		db.Register(b)
-		db.Register(c)
-		return db
+		return []*relational.Relation{a, b, c}
 	}
 	queries := []string{
 		"SELECT a.av, b.bv, c.cv FROM a JOIN b ON a.ak = b.bk JOIN c ON b.bv = c.ck",
 		"SELECT c.ck, COUNT(*) AS n, SUM(a.av) AS tot FROM a JOIN b ON a.ak = b.bk JOIN c ON b.bv = c.ck GROUP BY c.ck ORDER BY n DESC, c.ck",
 	}
-	serial := build()
-	serial.Opt.Parallel = false
+	rels := build()
+	serial := engineOver(t, serialConfig(), rels...)
 	for _, strat := range []string{"auto", "broadcast", "repartition"} {
 		for _, shards := range []int{2, 8} {
-			db := build()
-			db.Opt.Distributed = true
-			db.Opt.Shards = shards
-			db.Opt.DistJoin = strat
+			eng := engineOver(t, distConfig(shards, false, strat), rels...)
 			for _, q := range queries {
-				runBoth(t, serial, db, q)
+				runBoth(t, serial, eng, q)
 			}
 		}
 	}
@@ -181,20 +176,19 @@ func TestDistributedThreeTableJoin(t *testing.T) {
 // TestDistributedTopologies: every fabric builder must route the query's
 // flows and preserve parity.
 func TestDistributedTopologies(t *testing.T) {
-	serialDB := DemoDB(13, 2000, 60)
+	rels := demoRels(13, 2000, 60)
+	serial := engineOver(t, serialConfig(), rels...)
 	q := "SELECT region, COUNT(*) AS n, SUM(price) AS total FROM sales GROUP BY region ORDER BY total DESC"
 	for _, topoName := range []string{"leafspine", "single", "fattree", "torus"} {
-		db := distDB(13, 2000, 60, 4, false)
-		db.Opt.Topology = topoName
-		runBoth(t, serialDB, db, q)
-		plan, err := db.Plan(q)
+		cfg := distConfig(4, false, "")
+		cfg.Topology = topoName
+		eng := engineOver(t, cfg, rels...)
+		runBoth(t, serial, eng, q)
+		res, err := eng.Session().Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := relational.Collect(plan.Root, "result"); err != nil {
-			t.Fatal(err)
-		}
-		stats := plan.NetStats()
+		stats := res.Net
 		if stats == nil || stats.Topology != topoName {
 			t.Fatalf("%s: missing or mislabelled net stats: %+v", topoName, stats)
 		}
@@ -207,10 +201,10 @@ func TestDistributedTopologies(t *testing.T) {
 // TestDistributedNetStats: every movement phase must be charged as real
 // flows with link-level accounting.
 func TestDistributedNetStats(t *testing.T) {
-	db := distDB(17, 3000, 80, 4, false)
-	db.Opt.DistJoin = "repartition"
+	rels := demoRels(17, 3000, 80)
+	eng := engineOver(t, distConfig(4, false, "repartition"), rels...)
 	q := "SELECT c.segment, SUM(s.price) AS total FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment ORDER BY total DESC"
-	plan, err := db.Plan(q)
+	plan, err := rawPlan(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,35 +249,31 @@ func TestDistributedNetStats(t *testing.T) {
 
 	// Broadcast of the small dimension must be chosen by the auto cost
 	// rule and show up as a broadcast phase.
-	db2 := distDB(17, 3000, 80, 4, false)
-	plan2, err := db2.Plan(q)
+	res, err := engineOver(t, distConfig(4, false, ""), rels...).Session().Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relational.Collect(plan2.Root, "result"); err != nil {
-		t.Fatal(err)
-	}
 	var sawBroadcast bool
-	for _, ph := range plan2.NetStats().Phases {
+	for _, ph := range res.Net.Phases {
 		if strings.HasPrefix(ph.Name, "broadcast") && ph.Flows > 0 {
 			sawBroadcast = true
 		}
 	}
 	if !sawBroadcast {
-		t.Fatalf("auto movement should broadcast the small build side, phases: %+v", plan2.NetStats().Phases)
+		t.Fatalf("auto movement should broadcast the small build side, phases: %+v", res.Net.Phases)
 	}
 }
 
 // TestDistributedRepeatable: two runs of the same distributed query agree
 // bit-for-bit, including their network accounting.
 func TestDistributedRepeatable(t *testing.T) {
-	db := distDB(19, 4000, 80, 8, true)
+	eng := distDemo(t, 19, 4000, 80, 8, true)
 	for _, q := range parityQueries {
-		a, err := db.Query(q)
+		a, err := queryRows(eng, q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		b, err := db.Query(q)
+		b, err := queryRows(eng, q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -302,15 +292,11 @@ func TestDistributedRepeatable(t *testing.T) {
 	// Network accounting is deterministic too.
 	q := "SELECT region, COUNT(*) FROM sales GROUP BY region"
 	stats := func() (float64, float64) {
-		plan, err := db.Plan(q)
+		res, err := eng.Session().Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := relational.Collect(plan.Root, "result"); err != nil {
-			t.Fatal(err)
-		}
-		s := plan.NetStats()
-		return s.NetSeconds, s.BytesShuffled
+		return res.Net.NetSeconds, res.Net.BytesShuffled
 	}
 	t1, b1 := stats()
 	t2, b2 := stats()
@@ -322,8 +308,8 @@ func TestDistributedRepeatable(t *testing.T) {
 // TestDistributedErrorsSurface: shard-local evaluation errors propagate
 // out of worker goroutines and fragment stages.
 func TestDistributedErrorsSurface(t *testing.T) {
-	db := distDB(23, 2000, 50, 4, false)
-	if _, err := db.Query("SELECT price / (quantity - quantity) FROM sales"); err == nil ||
+	eng := distDemo(t, 23, 2000, 50, 4, false)
+	if _, err := queryRows(eng, "SELECT price / (quantity - quantity) FROM sales"); err == nil ||
 		!strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("expected division by zero from distributed engine, got %v", err)
 	}
@@ -332,8 +318,8 @@ func TestDistributedErrorsSurface(t *testing.T) {
 // TestDistributedExplain: distributed plans advertise the engine, the
 // movement decisions and the coordinator stages without executing.
 func TestDistributedExplain(t *testing.T) {
-	db := distDB(29, 500, 20, 4, false)
-	plan, err := db.Plan("SELECT c.segment, COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment ORDER BY n DESC LIMIT 3")
+	eng := distDemo(t, 29, 500, 20, 4, false)
+	plan, err := rawPlan(eng, "SELECT c.segment, COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment ORDER BY n DESC LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +332,8 @@ func TestDistributedExplain(t *testing.T) {
 	if plan.NetStats() != nil {
 		t.Fatal("explain must not execute the plan")
 	}
-	if got := db.Opt.DistJoin; got != "" {
-		t.Fatalf("plan must not mutate options, DistJoin = %q", got)
+	if got := eng.Config().DistJoin; got != "" {
+		t.Fatalf("plan must not mutate the config, DistJoin = %q", got)
 	}
 }
 
@@ -359,12 +345,9 @@ func TestDistributedSeesAppends(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rel.MustAppend(relational.Row{relational.IntV(int64(i))})
 	}
-	db := NewDB()
-	db.Register(rel)
-	db.Opt.Distributed = true
-	db.Opt.Shards = 4
+	eng := engineOver(t, distConfig(4, false, ""), rel)
 	count := func() int64 {
-		res, err := db.Query("SELECT COUNT(*) FROM t")
+		res, err := queryRows(eng, "SELECT COUNT(*) FROM t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,17 +362,15 @@ func TestDistributedSeesAppends(t *testing.T) {
 	}
 }
 
-// TestDistributedBadOptions: unknown topologies and join strategies error
-// at plan time.
+// TestDistributedBadOptions: unknown topologies and join strategies are
+// rejected when the engine is built.
 func TestDistributedBadOptions(t *testing.T) {
-	db := distDB(31, 100, 10, 4, false)
-	db.Opt.Topology = "moebius"
-	if _, err := db.Query("SELECT COUNT(*) FROM sales"); err == nil || !strings.Contains(err.Error(), "unknown topology") {
+	cfg := distConfig(4, false, "")
+	cfg.Topology = "moebius"
+	if _, err := NewEngine(cfg); err == nil || !strings.Contains(err.Error(), "unknown topology") {
 		t.Fatalf("expected topology error, got %v", err)
 	}
-	db = distDB(31, 100, 10, 4, false)
-	db.Opt.DistJoin = "teleport"
-	if _, err := db.Query("SELECT COUNT(*) FROM sales"); err == nil || !strings.Contains(err.Error(), "DistJoin") {
+	if _, err := NewEngine(distConfig(4, false, "teleport")); err == nil || !strings.Contains(err.Error(), "DistJoin") {
 		t.Fatalf("expected DistJoin error, got %v", err)
 	}
 }

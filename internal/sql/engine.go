@@ -16,9 +16,11 @@ import (
 
 // Config selects the execution engine and the optimizer rules (the
 // ablation experiments switch the latter). It is the construction-time
-// configuration of an Engine; sessions may override the per-session
-// knobs (see Session).
+// configuration of an Engine; sessions may override the per-query knobs
+// of the embedded QueryOptions (see Session).
 type Config struct {
+	// QueryOptions are the engine's defaults for the per-query knobs.
+	QueryOptions
 	// Pushdown moves single-table WHERE conjuncts below joins.
 	Pushdown bool
 	// BuildSideSwap builds the hash join on the smaller estimated input.
@@ -29,9 +31,6 @@ type Config struct {
 	// (columnar chunks, kernel inner loops, multi-core leaf scans). When
 	// false, plans run on the volcano row-at-a-time engine.
 	Parallel bool
-	// Workers caps batch-engine parallelism; 0 means runtime.NumCPU().
-	// In distributed mode this is the per-host core count.
-	Workers int
 	// Distributed shards tables across the hosts of a simulated
 	// datacenter fabric and executes queries shard-parallel, charging
 	// every broadcast, shuffle and gather as flows in the network
@@ -44,9 +43,6 @@ type Config struct {
 	// Topology names the distributed fabric: "leafspine" (default),
 	// "single", "fattree" or "torus".
 	Topology string
-	// DistJoin forces the distributed join movement strategy:
-	// "auto" (cost-based, default), "broadcast" or "repartition".
-	DistJoin string
 	// ShardHash hash-partitions tables on their first Int column instead
 	// of the default contiguous range partitioning.
 	ShardHash bool
@@ -80,44 +76,6 @@ type Config struct {
 	// independently on its own device state); the serial row engine
 	// ignores it.
 	Devices []string
-	// Placement selects the morsel placement policy over Devices:
-	// "auto" (cost-based per morsel, the default) or a device name
-	// ("cpu", "gpu", "fpga") forcing every morsel onto that device.
-	// Sessions may override it per query stream (Session.Placement).
-	Placement string
-	// MemoryBudget caps the bytes of operator state (hash-join build
-	// tables, partial-aggregate maps, sort runs) a query may hold
-	// resident at once. When an operator's reservation would exceed it,
-	// the operator goes out-of-core: state partitions to the SpillTier
-	// (grace hash partitioning for joins and aggregates, external run
-	// merging for sorts) and the modeled tier I/O is charged into
-	// OpStats.Spill and Result.Spill. Like Devices, the budget models
-	// cost without changing semantics: results are row-for-row identical
-	// at every budget, and 0 (the default) is the unbudgeted engine,
-	// bit-identical with pre-budget code paths. Sessions may override it
-	// (Session.MemoryBudget). Negative values are rejected at NewEngine.
-	MemoryBudget int64
-	// SpillTier names the memtier catalog tier budget overflow spills
-	// to: "nvm", "ssd" (the default when a budget is set) or "disk".
-	// DRAM is deliberately not a spill target — spilling to the tier the
-	// budget models is a no-op, not an out-of-core strategy. Sessions
-	// may override it (Session.SpillTier).
-	SpillTier string
-	// PipelineChunkRows turns on pipelined distributed movement: every
-	// bulk phase (broadcast, shuffle, gather) splits into chunks of at
-	// most this many rows, admitted on the shared fabric as eager
-	// sub-rounds while receivers consume the previous chunk — hash-join
-	// build tables fill as repartitioned rows land, partial-aggregate
-	// merges fold generation by generation, the final gather streams
-	// into the seq merge. Overlap is measured, not assumed: the modeled
-	// compute/network overlap lands in Result.Net.OverlapSeconds.
-	// Chunking never changes answers — chunk boundaries derive from the
-	// deterministic seq tags, so results are row-for-row identical at
-	// every chunk size — and 0 (the default, "chunk size infinity") is
-	// the bulk engine, bit-identical with pre-pipeline code paths.
-	// Negative values are rejected at NewEngine. Sessions may override
-	// it (Session.PipelineChunkRows).
-	PipelineChunkRows int
 	// Replication places each shard's data on this many distinct live
 	// hosts (distributed mode only). Reads follow the primary replica —
 	// with every host live that is the static placement, so any
@@ -141,21 +99,10 @@ type Config struct {
 	Faults *lifecycle.FaultPlan
 }
 
-// Options is the former name of Config.
-//
-// Deprecated: use Config with NewEngine; Options survives for the
-// deprecated DB wrapper.
-type Options = Config
-
 // DefaultConfig enables every optimizer rule and the batch engine.
 func DefaultConfig() Config {
 	return Config{Pushdown: true, BuildSideSwap: true, ConstantFolding: true, Parallel: true}
 }
-
-// DefaultOptions is the former name of DefaultConfig.
-//
-// Deprecated: use DefaultConfig.
-func DefaultOptions() Options { return DefaultConfig() }
 
 // Engine owns everything queries share: the catalog of registered
 // relations, the planner configuration, and — in distributed mode — one
@@ -170,18 +117,18 @@ func DefaultOptions() Options { return DefaultConfig() }
 type Engine struct {
 	cfg Config
 
+	// cluster, fabric and lcm are built once by NewEngine and never
+	// replaced: nil on single-node engines, and lcm (the elastic
+	// membership manager) is non-nil only when Replication > 1 or a
+	// fault plan is installed — the nil case keeps every query on the
+	// pre-lifecycle code paths.
+	cluster *dist.Cluster
+	fabric  *dist.Fabric
+	lcm     *lifecycle.Manager
+
 	mu      sync.RWMutex
 	tables  map[string]*relational.Relation
 	sharded map[string]*dist.ShardedTable
-	cluster *dist.Cluster
-	fabric  *dist.Fabric
-	// lcm is the elastic-membership manager, non-nil only when
-	// Replication > 1 or a fault plan is installed — the nil case keeps
-	// every query on the pre-lifecycle code paths.
-	lcm *lifecycle.Manager
-	// clusterKey caches which (topology, shards, replication) triple
-	// cluster serves.
-	clusterKey string
 	// epoch counts catalog mutations (see CatalogEpoch).
 	epoch uint64
 	// dataEpochs counts per-table data mutations — appends bump them
@@ -195,22 +142,15 @@ type Engine struct {
 }
 
 // NewEngine validates cfg and returns an empty engine. In distributed
-// mode the cluster and its shared fabric are built eagerly, so topology
-// errors surface here rather than at the first query.
+// mode the cluster, its shared fabric and (with replication or faults)
+// the lifecycle manager are built here, once, so topology errors
+// surface at construction rather than at the first query.
 func NewEngine(cfg Config) (*Engine, error) {
-	switch cfg.DistJoin {
-	case "", "auto", "broadcast", "repartition":
-	default:
-		return nil, fmt.Errorf("sql: unknown DistJoin strategy %q", cfg.DistJoin)
+	if err := cfg.QueryOptions.Validate(); err != nil {
+		return nil, err
 	}
 	if err := exec.ValidateConfig(cfg.Devices, cfg.Placement); err != nil {
 		return nil, err
-	}
-	if err := validateSpill(cfg.MemoryBudget, cfg.SpillTier); err != nil {
-		return nil, err
-	}
-	if cfg.PipelineChunkRows < 0 {
-		return nil, fmt.Errorf("sql: negative PipelineChunkRows %d", cfg.PipelineChunkRows)
 	}
 	if cfg.Replication < 0 {
 		return nil, fmt.Errorf("sql: negative Replication %d", cfg.Replication)
@@ -218,25 +158,31 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if (cfg.Replication > 1 || cfg.Faults != nil) && !cfg.Distributed {
 		return nil, fmt.Errorf("sql: Replication/Faults require Distributed mode")
 	}
-	e := newEngine(cfg)
-	if cfg.Distributed {
-		if _, _, err := e.clusterFor(cfg); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
-}
-
-// newEngine builds the engine without validation (the deprecated DB
-// wrapper surfaces config errors at plan time, as it always did).
-func newEngine(cfg Config) *Engine {
-	return &Engine{
+	e := &Engine{
 		cfg:        cfg,
 		tables:     map[string]*relational.Relation{},
 		sharded:    map[string]*dist.ShardedTable{},
 		dataEpochs: map[string]uint64{},
 		hub:        stream.NewHub(),
 	}
+	if !cfg.Distributed {
+		return e, nil
+	}
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = distDefaultShards
+	}
+	c, err := dist.NewCluster(cfg.Topology, shards)
+	if err != nil {
+		return nil, err
+	}
+	e.cluster, e.fabric = c, dist.NewFabricController(c, cfg.Controller)
+	if cfg.Replication > 1 || cfg.Faults != nil {
+		if e.lcm, err = lifecycle.NewManager(e.fabric, cfg.Replication, cfg.Faults, e.shardBytes(shards)); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
 }
 
 // Config returns the engine's construction-time configuration.
@@ -404,52 +350,11 @@ func (e *Engine) Table(name string) (*relational.Relation, bool) {
 }
 
 // Fabric exposes the shared network fabric for contention inspection
-// (aggregate stats, Expect barriers). It is nil until a distributed
-// cluster exists — NewEngine builds it eagerly for distributed configs.
-func (e *Engine) Fabric() *dist.Fabric {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.fabric
-}
+// (aggregate stats, Expect barriers). It is nil on single-node engines.
+func (e *Engine) Fabric() *dist.Fabric { return e.fabric }
 
 // distDefaultShards is the worker count when Config.Shards is unset.
 const distDefaultShards = 4
-
-// clusterFor returns the engine's cluster and shared fabric, rebuilding
-// both when the topology or shard count in cfg changed (only the
-// deprecated mutable-Options DB wrapper ever changes them mid-life).
-func (e *Engine) clusterFor(cfg Config) (*dist.Cluster, *dist.Fabric, error) {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = distDefaultShards
-	}
-	key := fmt.Sprintf("%s|%d|r%d", cfg.Topology, shards, cfg.Replication)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cluster != nil && e.clusterKey == key {
-		return e.cluster, e.fabric, nil
-	}
-	c, err := dist.NewCluster(cfg.Topology, shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	// cfg.Controller equals the engine's own (sessions never override
-	// it); taking it from cfg additionally lets the deprecated DB
-	// wrapper's Opt.Controller apply when its first query builds the
-	// cluster. A controller change alone does not rebuild an existing
-	// cluster — fabric control is construction-time state.
-	e.cluster, e.fabric, e.clusterKey = c, dist.NewFabricController(c, cfg.Controller), key
-	e.lcm = nil
-	if cfg.Replication > 1 || cfg.Faults != nil {
-		lcm, err := lifecycle.NewManager(e.fabric, cfg.Replication, cfg.Faults, e.shardBytes(shards))
-		if err != nil {
-			e.cluster, e.fabric, e.clusterKey = nil, nil, ""
-			return nil, nil, err
-		}
-		e.lcm = lcm
-	}
-	return e.cluster, e.fabric, nil
-}
 
 // shardBytes builds the lifecycle manager's per-shard resident-bytes
 // provider: the sum, over every cached shard placement, of the encoded
@@ -475,11 +380,7 @@ func (e *Engine) shardBytes(shards int) func() []float64 {
 // Lifecycle exposes the elastic-membership manager, or nil on engines
 // without replication or a fault plan (the static, failure-free
 // cluster).
-func (e *Engine) Lifecycle() *lifecycle.Manager {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.lcm
-}
+func (e *Engine) Lifecycle() *lifecycle.Manager { return e.lcm }
 
 // errNoLifecycle reports membership operations on a static cluster.
 var errNoLifecycle = fmt.Errorf("sql: cluster lifecycle inactive (set Config.Replication > 1 or Config.Faults)")
@@ -578,22 +479,6 @@ func (pl *planner) plan(q string) (*Planned, error) {
 // unset: flash is the tier a 2016-era datacenter node actually has
 // behind DRAM.
 const defaultSpillTier = "ssd"
-
-// validateSpill checks an out-of-core configuration. A SpillTier
-// without a budget is allowed — the engine sets the tier, a session
-// turns the budget on — but must still name a real tier so typos
-// surface at construction.
-func validateSpill(budget int64, tier string) error {
-	if budget < 0 {
-		return fmt.Errorf("sql: negative MemoryBudget %d", budget)
-	}
-	if tier != "" {
-		if _, err := memtier.NewSpillDevice(tier); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // spillBudget builds one execution's memory budget, or nil on the
 // unbudgeted engine (no MemoryBudget configured). Budgets are

@@ -131,9 +131,9 @@ func TestPrepareValidatesEagerly(t *testing.T) {
 // operators (and, distributed, keeping stale NetStats).
 func TestPlannedSpent(t *testing.T) {
 	for _, distributed := range []bool{false, true} {
-		db := DemoDB(11, 1000, 40)
-		db.Opt.Distributed = distributed
-		plan, err := db.Plan("SELECT region, COUNT(*) FROM sales GROUP BY region")
+		cfg := DefaultConfig()
+		cfg.Distributed = distributed
+		plan, err := rawPlan(engineOver(t, cfg, demoRels(11, 1000, 40)...), "SELECT region, COUNT(*) FROM sales GROUP BY region")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,9 +151,7 @@ func TestPlannedSpent(t *testing.T) {
 // must stay failed — re-pulling it reports the original error instead of
 // silently resuming the half-drained tree.
 func TestPlannedSpentAfterError(t *testing.T) {
-	db := DemoDB(11, 1000, 40)
-	db.Opt.Parallel = false
-	plan, err := db.Plan("SELECT price / (quantity - quantity) FROM sales")
+	plan, err := rawPlan(engineOver(t, serialConfig(), demoRels(11, 1000, 40)...), "SELECT price / (quantity - quantity) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +162,50 @@ func TestPlannedSpentAfterError(t *testing.T) {
 	rel, err := relational.Collect(plan.Root, "second")
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("retry must report the original failure, got rows=%v err=%v", rel, err)
+	}
+}
+
+// TestSessionOptionsMerge: for each per-query knob, a zero session value
+// inherits the engine's and a non-zero one wins, as the plan shows.
+func TestSessionOptionsMerge(t *testing.T) {
+	const q = "SELECT c.segment, COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment"
+	cases := []struct {
+		knob              string
+		engine, session   QueryOptions
+		inherit, override string
+	}{
+		{"Workers", QueryOptions{Workers: 3}, QueryOptions{Workers: 5}, "3 workers/host", "5 workers/host"},
+		{"DistJoin", QueryOptions{DistJoin: "broadcast"}, QueryOptions{DistJoin: "repartition"}, "movement=broadcast", "movement=repartition"},
+		{"Placement", QueryOptions{Placement: "cpu"}, QueryOptions{Placement: "gpu"}, "hetero: devices [cpu gpu], placement cpu", "hetero: devices [cpu gpu], placement gpu"},
+		{"MemoryBudget", QueryOptions{MemoryBudget: 1 << 20}, QueryOptions{MemoryBudget: 1 << 16}, "spill: budget 1048576 bytes", "spill: budget 65536 bytes"},
+		{"SpillTier", QueryOptions{MemoryBudget: 1 << 20, SpillTier: "nvm"}, QueryOptions{SpillTier: "disk"}, "tier nvm", "tier disk"},
+		{"PipelineChunkRows", QueryOptions{PipelineChunkRows: 512}, QueryOptions{PipelineChunkRows: 64},
+			"pipeline: chunked movement (512 rows/chunk", "pipeline: chunked movement (64 rows/chunk"},
+	}
+	rels := demoRels(11, 500, 20)
+	for _, c := range cases {
+		t.Run(c.knob, func(t *testing.T) {
+			cfg := distConfig(4, false, "")
+			cfg.Devices = []string{"cpu", "gpu"}
+			cfg.QueryOptions = c.engine
+			eng := engineOver(t, cfg, rels...)
+			explain := func(s *Session) string {
+				t.Helper()
+				ex, err := s.Explain(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ex
+			}
+			if ex := explain(eng.Session()); !strings.Contains(ex, c.inherit) {
+				t.Fatalf("zero session value: plan lacks the engine's %q:\n%s", c.inherit, ex)
+			}
+			sess := eng.Session()
+			sess.QueryOptions = c.session
+			if ex := explain(sess); !strings.Contains(ex, c.override) || strings.Contains(ex, c.inherit) {
+				t.Fatalf("session value: plan lacks %q or keeps %q:\n%s", c.override, c.inherit, ex)
+			}
+		})
 	}
 }
 
@@ -194,28 +236,5 @@ func TestSessionOverrides(t *testing.T) {
 	}
 	if got := eng.Config().DistJoin; got != "" {
 		t.Fatalf("engine config mutated by session override: %q", got)
-	}
-}
-
-// TestDBWrapperDelegates: the deprecated DB surface is a live view over
-// an Engine — same catalog, same results — so the two APIs interoperate
-// during migration.
-func TestDBWrapperDelegates(t *testing.T) {
-	db := DemoDB(11, 2000, 60)
-	q := "SELECT region, COUNT(*) AS n FROM sales GROUP BY region ORDER BY n DESC"
-	viaDB, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSession, err := db.Engine().Session().Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectRowsEqual(t, "DB vs Session", viaDB, viaSession.Rows)
-
-	// Registration through either surface is visible to the other.
-	db.Engine().Register(productsRelation())
-	if _, ok := db.Table("products"); !ok {
-		t.Fatal("engine-registered table invisible through DB")
 	}
 }

@@ -63,14 +63,32 @@ func sameRelation(t *testing.T, q string, want, got *relational.Relation) {
 	}
 }
 
-func runBoth(t *testing.T, serialDB, parDB *DB, q string) {
+// demoRels returns the relations RegisterDemo loads.
+func demoRels(seed uint64, salesRows, customers int) []*relational.Relation {
+	return []*relational.Relation{SalesRelation(seed, salesRows, customers), CustomersRelation(seed+1, customers)}
+}
+
+// serialConfig is the reference configuration: the row-at-a-time engine.
+func serialConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Parallel = false
+	return cfg
+}
+
+// workersConfig is the batch engine capped at the given worker count.
+func workersConfig(workers int) Config {
+	cfg := DefaultConfig()
+	cfg.Workers = workers
+	return cfg
+}
+
+func runBoth(t *testing.T, serial, par *Engine, q string) {
 	t.Helper()
-	serialDB.Opt.Parallel = false
-	want, err := serialDB.Query(q)
+	want, err := queryRows(serial, q)
 	if err != nil {
 		t.Fatalf("serial %q: %v", q, err)
 	}
-	got, err := parDB.Query(q)
+	got, err := queryRows(par, q)
 	if err != nil {
 		t.Fatalf("parallel %q: %v", q, err)
 	}
@@ -82,13 +100,12 @@ func runBoth(t *testing.T, serialDB, parDB *DB, q string) {
 // the batch engine (several worker counts) and the serial row engine,
 // over a multi-morsel table.
 func TestParallelMatchesSerial(t *testing.T) {
-	serialDB := DemoDB(7, 5000, 120)
+	rels := demoRels(7, 5000, 120)
+	serial := engineOver(t, serialConfig(), rels...)
 	for _, workers := range []int{1, 2, 4, 7} {
-		parDB := DemoDB(7, 5000, 120)
-		parDB.Opt.Parallel = true
-		parDB.Opt.Workers = workers
+		par := engineOver(t, workersConfig(workers), rels...)
 		for _, q := range parityQueries {
-			runBoth(t, serialDB, parDB, q)
+			runBoth(t, serial, par, q)
 		}
 	}
 }
@@ -96,47 +113,44 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestParallelMatchesSerialSingleMorsel pins the sub-batch edge case: the
 // whole table fits one morsel.
 func TestParallelMatchesSerialSingleMorsel(t *testing.T) {
-	serialDB := DemoDB(11, 37, 9)
-	parDB := DemoDB(11, 37, 9)
-	parDB.Opt.Workers = 4
+	rels := demoRels(11, 37, 9)
+	serial := engineOver(t, serialConfig(), rels...)
+	par := engineOver(t, workersConfig(4), rels...)
 	for _, q := range parityQueries {
-		runBoth(t, serialDB, parDB, q)
+		runBoth(t, serial, par, q)
 	}
 }
 
-// emptyDemoDB has the DemoDB schemas with zero rows (the generator
+// emptyDemoRels has the demo schemas with zero rows (the generator
 // cannot produce empty tables).
-func emptyDemoDB() *DB {
-	full := DemoDB(13, 1, 1)
-	db := NewDB()
-	for _, name := range []string{"sales", "customers"} {
-		rel, _ := full.Table(name)
-		db.Register(relational.NewRelation(rel.Name, rel.Schema))
+func emptyDemoRels() []*relational.Relation {
+	var out []*relational.Relation
+	for _, rel := range demoRels(13, 1, 1) {
+		out = append(out, relational.NewRelation(rel.Name, rel.Schema))
 	}
-	return db
+	return out
 }
 
 // TestParallelMatchesSerialEmptyTables pins the zero-row edge case.
 func TestParallelMatchesSerialEmptyTables(t *testing.T) {
-	serialDB := emptyDemoDB()
-	parDB := emptyDemoDB()
-	parDB.Opt.Workers = 4
+	rels := emptyDemoRels()
+	serial := engineOver(t, serialConfig(), rels...)
+	par := engineOver(t, workersConfig(4), rels...)
 	for _, q := range parityQueries {
-		runBoth(t, serialDB, parDB, q)
+		runBoth(t, serial, par, q)
 	}
 }
 
 // TestParallelRepeatable: two parallel runs of the same query must agree
 // exactly (bit-for-bit), regardless of dynamic morsel scheduling.
 func TestParallelRepeatable(t *testing.T) {
-	db := DemoDB(17, 4000, 80)
-	db.Opt.Workers = 4
+	eng := engineOver(t, workersConfig(4), demoRels(17, 4000, 80)...)
 	for _, q := range parityQueries {
-		a, err := db.Query(q)
+		a, err := queryRows(eng, q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		b, err := db.Query(q)
+		b, err := queryRows(eng, q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -157,9 +171,8 @@ func TestParallelRepeatable(t *testing.T) {
 // TestParallelRuntimeErrorsSurface: evaluation errors must propagate out
 // of worker goroutines.
 func TestParallelRuntimeErrorsSurface(t *testing.T) {
-	db := DemoDB(19, 3000, 50)
-	db.Opt.Workers = 4
-	if _, err := db.Query("SELECT price / (quantity - quantity) FROM sales"); err == nil ||
+	eng := engineOver(t, workersConfig(4), demoRels(19, 3000, 50)...)
+	if _, err := queryRows(eng, "SELECT price / (quantity - quantity) FROM sales"); err == nil ||
 		!strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("expected division by zero from parallel engine, got %v", err)
 	}
@@ -167,29 +180,28 @@ func TestParallelRuntimeErrorsSurface(t *testing.T) {
 
 // TestExplainNamesEngine: plans advertise the batch engine when enabled.
 func TestExplainNamesEngine(t *testing.T) {
-	db := DemoDB(23, 100, 10)
-	plan, err := db.Plan("SELECT COUNT(*) FROM sales")
+	rels := demoRels(23, 100, 10)
+	ex, err := engineOver(t, DefaultConfig(), rels...).Session().Explain("SELECT COUNT(*) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.Explain(), "morsel-parallel batch") {
-		t.Fatalf("explain missing engine line:\n%s", plan.Explain())
+	if !strings.Contains(ex, "morsel-parallel batch") {
+		t.Fatalf("explain missing engine line:\n%s", ex)
 	}
-	db.Opt.Parallel = false
-	plan, err = db.Plan("SELECT COUNT(*) FROM sales")
+	ex, err = engineOver(t, serialConfig(), rels...).Session().Explain("SELECT COUNT(*) FROM sales")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(plan.Explain(), "morsel-parallel batch") {
-		t.Fatalf("serial explain must not claim the batch engine:\n%s", plan.Explain())
+	if strings.Contains(ex, "morsel-parallel batch") {
+		t.Fatalf("serial explain must not claim the batch engine:\n%s", ex)
 	}
 }
 
 // TestRangeExtraction covers the ColRange lowering of comparison shapes.
 func TestRangeExtraction(t *testing.T) {
-	db := DemoDB(29, 3000, 60)
-	serialDB := DemoDB(29, 3000, 60)
-	db.Opt.Workers = 3
+	rels := demoRels(29, 3000, 60)
+	serial := engineOver(t, serialConfig(), rels...)
+	par := engineOver(t, workersConfig(3), rels...)
 	for _, q := range []string{
 		"SELECT order_id FROM sales WHERE year = 2014",
 		"SELECT order_id FROM sales WHERE year > 2013",
@@ -198,6 +210,6 @@ func TestRangeExtraction(t *testing.T) {
 		"SELECT order_id FROM sales WHERE 2015 > year AND year >= 2011 AND quantity = 3",
 		"SELECT order_id FROM sales WHERE year >= 2013 AND price > 50.0",
 	} {
-		runBoth(t, serialDB, db, q)
+		runBoth(t, serial, par, q)
 	}
 }

@@ -190,6 +190,9 @@ func advanceJoinSize(curSize, rightSize, rightLen int) int {
 }
 
 func (pl *planner) planStmt(stmt *SelectStmt) (*Planned, error) {
+	if err := pl.cfg.QueryOptions.Validate(); err != nil {
+		return nil, err
+	}
 	if pl.cfg.Distributed {
 		return pl.planDistStmt(stmt)
 	}

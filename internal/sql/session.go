@@ -13,16 +13,14 @@ import (
 // different sessions at the same time contend for the same fabric.
 //
 // A Session is not safe for concurrent use; open one per goroutine
-// (they are cheap). The exported fields are per-session overrides of the
-// engine configuration; zero values inherit the engine's.
+// (they are cheap). The embedded QueryOptions override the engine's
+// (see QueryOptions.Merge): zero fields inherit, non-zero fields win,
+// and a malformed override surfaces as a planning error at
+// Query/Prepare.
 type Session struct {
 	eng *Engine
 
-	// DistJoin overrides the engine's distributed join movement strategy
-	// for this session's queries ("auto", "broadcast" or "repartition").
-	DistJoin string
-	// Workers overrides the engine's per-host worker cap when positive.
-	Workers int
+	QueryOptions
 	// Priority tags this session's fabric flows with a QoS class ("" =
 	// best-effort). Classes drive per-class byte attribution in the
 	// fabric aggregate and feed controller policies (e.g. the
@@ -34,29 +32,6 @@ type Session struct {
 	// of a weight-1 peer, so its phases — and queries — finish sooner
 	// under contention. Zero inherits the uniform weight 1.
 	Weight float64
-	// Placement overrides the engine's morsel placement policy over
-	// Config.Devices for this session's queries: "auto" (cost-based) or
-	// a device name forcing every morsel there. "" inherits the
-	// engine's. It has no effect when the engine has no device set.
-	Placement string
-	// MemoryBudget overrides the engine's operator-state byte cap for
-	// this session's queries when positive (see Config.MemoryBudget);
-	// zero inherits the engine's. A session on an unbudgeted engine can
-	// turn out-of-core execution on, and vice versa cannot turn it off —
-	// budgets model capacity, and a session asking for less memory than
-	// the engine grants is the meaningful direction.
-	MemoryBudget int64
-	// SpillTier overrides the engine's spill tier ("nvm", "ssd",
-	// "disk") for this session's queries; "" inherits the engine's. An
-	// unknown tier surfaces as a planning error at Query/Prepare.
-	SpillTier string
-	// PipelineChunkRows overrides the engine's pipelined-movement chunk
-	// size for this session's queries when positive (see
-	// Config.PipelineChunkRows); zero inherits the engine's. There is no
-	// per-session way to force the bulk path on a pipelined engine —
-	// like MemoryBudget, asking for finer chunks than the engine default
-	// is the meaningful direction, and results are identical either way.
-	PipelineChunkRows int
 }
 
 // Engine returns the session's engine.
@@ -65,24 +40,7 @@ func (s *Session) Engine() *Engine { return s.eng }
 // cfg merges the session overrides onto the engine configuration.
 func (s *Session) cfg() Config {
 	cfg := s.eng.Config()
-	if s.DistJoin != "" {
-		cfg.DistJoin = s.DistJoin
-	}
-	if s.Workers > 0 {
-		cfg.Workers = s.Workers
-	}
-	if s.Placement != "" {
-		cfg.Placement = s.Placement
-	}
-	if s.MemoryBudget > 0 {
-		cfg.MemoryBudget = s.MemoryBudget
-	}
-	if s.SpillTier != "" {
-		cfg.SpillTier = s.SpillTier
-	}
-	if s.PipelineChunkRows > 0 {
-		cfg.PipelineChunkRows = s.PipelineChunkRows
-	}
+	cfg.QueryOptions = cfg.QueryOptions.Merge(s.QueryOptions)
 	return cfg
 }
 

@@ -1,23 +1,54 @@
 package sql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/relational"
 )
 
-func mustQuery(t *testing.T, db *DB, q string) *relational.Relation {
+// engineOver builds an engine under cfg with rels registered.
+func engineOver(t *testing.T, cfg Config, rels ...*relational.Relation) *Engine {
 	t.Helper()
-	res, err := db.Query(q)
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range rels {
+		eng.Register(rel)
+	}
+	return eng
+}
+
+// queryRows runs q on a fresh session of eng.
+func queryRows(eng *Engine, q string) (*relational.Relation, error) {
+	res, err := eng.Session().Query(context.Background(), q)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
+}
+
+func mustQuery(t *testing.T, eng *Engine, q string) *relational.Relation {
+	t.Helper()
+	res, err := queryRows(eng, q)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
 	return res
 }
 
-func tinyDB() *DB {
-	db := NewDB()
+// rawPlan plans q under eng's configuration without executing it — the
+// single-use plan a session wraps, with its operator tags, lazy network
+// stats and ErrPlanSpent guard exposed.
+func rawPlan(eng *Engine, q string) (*Planned, error) {
+	return (&planner{eng: eng, cfg: eng.Config()}).plan(q)
+}
+
+// tiny is a six-row sales table plus a two-row regions dimension under
+// cfg.
+func tiny(t *testing.T, cfg Config) *Engine {
 	sales := relational.NewRelation("sales", relational.Schema{
 		{Name: "id", Type: relational.Int},
 		{Name: "region", Type: relational.String},
@@ -45,9 +76,7 @@ func tinyDB() *DB {
 	})
 	regions.MustAppend(relational.Row{relational.StringV("EU"), relational.StringV("europe")})
 	regions.MustAppend(relational.Row{relational.StringV("NA"), relational.StringV("america")})
-	db.Register(sales)
-	db.Register(regions)
-	return db
+	return engineOver(t, cfg, sales, regions)
 }
 
 // ---------- Lexer ----------
@@ -170,21 +199,21 @@ func TestParseNegativeLiteralFolds(t *testing.T) {
 // ---------- Execution ----------
 
 func TestSelectStar(t *testing.T) {
-	res := mustQuery(t, tinyDB(), "SELECT * FROM sales")
+	res := mustQuery(t, tiny(t, DefaultConfig()), "SELECT * FROM sales")
 	if res.Len() != 6 || len(res.Schema) != 4 {
 		t.Fatalf("star: %d rows × %d cols", res.Len(), len(res.Schema))
 	}
 }
 
 func TestWhereFilter(t *testing.T) {
-	res := mustQuery(t, tinyDB(), "SELECT id FROM sales WHERE region = 'EU' AND amount >= 7.5")
+	res := mustQuery(t, tiny(t, DefaultConfig()), "SELECT id FROM sales WHERE region = 'EU' AND amount >= 7.5")
 	if res.Len() != 3 {
 		t.Fatalf("rows = %d, want 3", res.Len())
 	}
 }
 
 func TestArithmeticAndAlias(t *testing.T) {
-	res := mustQuery(t, tinyDB(), "SELECT id, amount * qty AS value FROM sales WHERE id = 3")
+	res := mustQuery(t, tiny(t, DefaultConfig()), "SELECT id, amount * qty AS value FROM sales WHERE id = 3")
 	if res.Len() != 1 {
 		t.Fatal("want one row")
 	}
@@ -197,18 +226,18 @@ func TestArithmeticAndAlias(t *testing.T) {
 }
 
 func TestIntegerArithmeticStaysInt(t *testing.T) {
-	res := mustQuery(t, tinyDB(), "SELECT qty + 1 FROM sales WHERE id = 1")
+	res := mustQuery(t, tiny(t, DefaultConfig()), "SELECT qty + 1 FROM sales WHERE id = 1")
 	if res.Rows[0][0].T != relational.Int || res.Rows[0][0].I != 3 {
 		t.Fatalf("qty+1 = %v (type %v)", res.Rows[0][0], res.Rows[0][0].T)
 	}
-	res = mustQuery(t, tinyDB(), "SELECT qty / 2 FROM sales WHERE id = 1")
+	res = mustQuery(t, tiny(t, DefaultConfig()), "SELECT qty / 2 FROM sales WHERE id = 1")
 	if res.Rows[0][0].T != relational.Float || res.Rows[0][0].F != 1 {
 		t.Fatalf("qty/2 = %v (division is float)", res.Rows[0][0])
 	}
 }
 
 func TestGroupByAggregates(t *testing.T) {
-	res := mustQuery(t, tinyDB(),
+	res := mustQuery(t, tiny(t, DefaultConfig()),
 		"SELECT region, COUNT(*) AS n, SUM(amount) AS total, AVG(amount) AS mean FROM sales GROUP BY region ORDER BY total DESC")
 	if res.Len() != 3 {
 		t.Fatalf("groups = %d", res.Len())
@@ -223,7 +252,7 @@ func TestGroupByAggregates(t *testing.T) {
 }
 
 func TestGlobalAggregateNoGroupBy(t *testing.T) {
-	res := mustQuery(t, tinyDB(), "SELECT COUNT(*), SUM(qty), MIN(amount), MAX(amount) FROM sales")
+	res := mustQuery(t, tiny(t, DefaultConfig()), "SELECT COUNT(*), SUM(qty), MIN(amount), MAX(amount) FROM sales")
 	if res.Len() != 1 {
 		t.Fatal("global aggregate must yield one row")
 	}
@@ -234,25 +263,25 @@ func TestGlobalAggregateNoGroupBy(t *testing.T) {
 }
 
 func TestOrderByPositionAndAlias(t *testing.T) {
-	byPos := mustQuery(t, tinyDB(), "SELECT id, amount FROM sales ORDER BY 2 DESC LIMIT 1")
+	byPos := mustQuery(t, tiny(t, DefaultConfig()), "SELECT id, amount FROM sales ORDER BY 2 DESC LIMIT 1")
 	if byPos.Rows[0][0].I != 3 {
 		t.Fatalf("ORDER BY 2: top id = %v", byPos.Rows[0][0])
 	}
-	byAlias := mustQuery(t, tinyDB(), "SELECT id, amount AS a FROM sales ORDER BY a LIMIT 1")
+	byAlias := mustQuery(t, tiny(t, DefaultConfig()), "SELECT id, amount AS a FROM sales ORDER BY a LIMIT 1")
 	if byAlias.Rows[0][0].I != 6 {
 		t.Fatalf("ORDER BY alias: top id = %v", byAlias.Rows[0][0])
 	}
 }
 
 func TestOrderByUnselectedColumn(t *testing.T) {
-	res := mustQuery(t, tinyDB(), "SELECT id FROM sales ORDER BY amount DESC LIMIT 2")
+	res := mustQuery(t, tiny(t, DefaultConfig()), "SELECT id FROM sales ORDER BY amount DESC LIMIT 2")
 	if res.Rows[0][0].I != 3 || res.Rows[1][0].I != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
 func TestJoinWithQualifiedColumns(t *testing.T) {
-	res := mustQuery(t, tinyDB(),
+	res := mustQuery(t, tiny(t, DefaultConfig()),
 		"SELECT s.id, r.continent FROM sales s JOIN regions r ON s.region = r.region ORDER BY s.id")
 	if res.Len() != 5 {
 		t.Fatalf("join rows = %d, want 5 (APAC drops)", res.Len())
@@ -263,7 +292,7 @@ func TestJoinWithQualifiedColumns(t *testing.T) {
 }
 
 func TestJoinThenGroup(t *testing.T) {
-	res := mustQuery(t, tinyDB(),
+	res := mustQuery(t, tiny(t, DefaultConfig()),
 		"SELECT r.continent, SUM(s.amount) AS total FROM sales s JOIN regions r ON s.region = r.region GROUP BY r.continent ORDER BY total DESC")
 	if res.Len() != 2 {
 		t.Fatalf("groups = %d", res.Len())
@@ -274,7 +303,7 @@ func TestJoinThenGroup(t *testing.T) {
 }
 
 func TestOrderByAggregateNotSelected(t *testing.T) {
-	res := mustQuery(t, tinyDB(),
+	res := mustQuery(t, tiny(t, DefaultConfig()),
 		"SELECT region FROM sales GROUP BY region ORDER BY SUM(amount) DESC LIMIT 1")
 	if res.Rows[0][0].S != "EU" {
 		t.Fatalf("top region = %v", res.Rows[0][0])
@@ -284,7 +313,7 @@ func TestOrderByAggregateNotSelected(t *testing.T) {
 func TestHavingLikeViaAggregateOrdering(t *testing.T) {
 	// The subset has no HAVING; make sure aggregate exprs compose in
 	// select items (sum(amount)/count(*)).
-	res := mustQuery(t, tinyDB(),
+	res := mustQuery(t, tiny(t, DefaultConfig()),
 		"SELECT region, SUM(amount) / COUNT(*) AS mean FROM sales GROUP BY region ORDER BY mean DESC LIMIT 1")
 	if res.Rows[0][0].S != "EU" {
 		t.Fatalf("top = %v", res.Rows[0])
@@ -292,7 +321,7 @@ func TestHavingLikeViaAggregateOrdering(t *testing.T) {
 }
 
 func TestHavingFiltersGroups(t *testing.T) {
-	res := mustQuery(t, tinyDB(),
+	res := mustQuery(t, tiny(t, DefaultConfig()),
 		"SELECT region, SUM(amount) AS total FROM sales GROUP BY region HAVING SUM(amount) > 20 ORDER BY total DESC")
 	// EU (47.5) and NA (22.5) pass; APAC (5) is filtered out.
 	if res.Len() != 2 {
@@ -304,7 +333,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 }
 
 func TestHavingOnCountWithoutSelectingIt(t *testing.T) {
-	res := mustQuery(t, tinyDB(),
+	res := mustQuery(t, tiny(t, DefaultConfig()),
 		"SELECT region FROM sales GROUP BY region HAVING COUNT(*) >= 2 ORDER BY region")
 	if res.Len() != 2 {
 		t.Fatalf("groups = %d, want 2 (EU, NA)", res.Len())
@@ -312,7 +341,7 @@ func TestHavingOnCountWithoutSelectingIt(t *testing.T) {
 }
 
 func TestHavingOnGroupColumn(t *testing.T) {
-	res := mustQuery(t, tinyDB(),
+	res := mustQuery(t, tiny(t, DefaultConfig()),
 		"SELECT region, COUNT(*) FROM sales GROUP BY region HAVING region != 'EU' ORDER BY region")
 	if res.Len() != 2 {
 		t.Fatalf("groups = %d, want 2", res.Len())
@@ -325,19 +354,19 @@ func TestHavingOnGroupColumn(t *testing.T) {
 }
 
 func TestHavingWithoutAggregationIsError(t *testing.T) {
-	if _, err := tinyDB().Query("SELECT id FROM sales HAVING id > 2"); err == nil {
+	if _, err := queryRows(tiny(t, DefaultConfig()), "SELECT id FROM sales HAVING id > 2"); err == nil {
 		t.Fatal("HAVING without aggregation must error")
 	}
 }
 
 func TestHavingNonBooleanIsError(t *testing.T) {
-	if _, err := tinyDB().Query("SELECT region, COUNT(*) FROM sales GROUP BY region HAVING SUM(amount)"); err == nil {
+	if _, err := queryRows(tiny(t, DefaultConfig()), "SELECT region, COUNT(*) FROM sales GROUP BY region HAVING SUM(amount)"); err == nil {
 		t.Fatal("non-boolean HAVING must error")
 	}
 }
 
 func TestSemanticErrors(t *testing.T) {
-	db := tinyDB()
+	eng := tiny(t, DefaultConfig())
 	bad := []string{
 		"SELECT nosuch FROM sales",
 		"SELECT id FROM nosuch",
@@ -353,28 +382,28 @@ func TestSemanticErrors(t *testing.T) {
 		"SELECT NOT id FROM sales",                             // NOT on non-boolean
 	}
 	for _, q := range bad {
-		if _, err := db.Query(q); err == nil {
+		if _, err := queryRows(eng, q); err == nil {
 			t.Fatalf("expected error for %q", q)
 		}
 	}
 }
 
 func TestRuntimeErrors(t *testing.T) {
-	db := tinyDB()
-	if _, err := db.Query("SELECT amount / (qty - qty) FROM sales"); err == nil ||
+	eng := tiny(t, DefaultConfig())
+	if _, err := queryRows(eng, "SELECT amount / (qty - qty) FROM sales"); err == nil ||
 		!strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("expected division by zero, got %v", err)
 	}
-	if _, err := db.Query("SELECT qty % (qty - qty) FROM sales"); err == nil ||
+	if _, err := queryRows(eng, "SELECT qty % (qty - qty) FROM sales"); err == nil ||
 		!strings.Contains(err.Error(), "modulo by zero") {
 		t.Fatalf("expected modulo by zero, got %v", err)
 	}
 }
 
 func TestAmbiguousColumnDetected(t *testing.T) {
-	db := tinyDB()
+	eng := tiny(t, DefaultConfig())
 	// region exists in both tables.
-	if _, err := db.Query("SELECT region FROM sales s JOIN regions r ON s.region = r.region"); err == nil {
+	if _, err := queryRows(eng, "SELECT region FROM sales s JOIN regions r ON s.region = r.region"); err == nil {
 		t.Fatal("expected ambiguity error")
 	}
 }
@@ -383,20 +412,18 @@ func TestAmbiguousColumnDetected(t *testing.T) {
 
 func TestPushdownReducesJoinInput(t *testing.T) {
 	run := func(pushdown bool) int {
-		db := DemoDB(42, 5000, 200)
-		db.Opt.Pushdown = pushdown
-		plan, err := db.Plan(
+		cfg := DefaultConfig()
+		cfg.Pushdown = pushdown
+		eng := engineOver(t, cfg, demoRels(42, 5000, 200)...)
+		res, err := eng.Session().Query(context.Background(),
 			"SELECT c.segment, SUM(s.price) AS total FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.year = 2015 GROUP BY c.segment")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := relational.Collect(plan.Root, "x"); err != nil {
-			t.Fatal(err)
-		}
 		// Rows flowing out of the fact-table scan path into the join.
 		for _, tag := range []string{"pushdown:s", "scan:s"} {
-			if op, ok := plan.TaggedOps[tag]; ok {
-				return op.Stats().RowsOut
+			if st, ok := res.Ops[tag]; ok {
+				return st.RowsOut
 			}
 		}
 		t.Fatal("no scan op tagged")
@@ -411,10 +438,12 @@ func TestPushdownReducesJoinInput(t *testing.T) {
 
 func TestPushdownSameResults(t *testing.T) {
 	q := "SELECT c.segment, COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.price > 50 GROUP BY c.segment ORDER BY n DESC, 1"
-	a := DemoDB(7, 3000, 100)
-	b := DemoDB(7, 3000, 100)
-	a.Opt.Pushdown = true
-	b.Opt.Pushdown = false
+	rels := demoRels(7, 3000, 100)
+	cfg := DefaultConfig()
+	cfg.Pushdown = true
+	a := engineOver(t, cfg, rels...)
+	cfg.Pushdown = false
+	b := engineOver(t, cfg, rels...)
 	ra := mustQuery(t, a, q)
 	rb := mustQuery(t, b, q)
 	if ra.Len() != rb.Len() {
@@ -431,10 +460,11 @@ func TestPushdownSameResults(t *testing.T) {
 
 func TestBuildSideSwapSameResults(t *testing.T) {
 	q := "SELECT s.id, r.continent FROM sales s JOIN regions r ON s.region = r.region ORDER BY s.id"
-	a := tinyDB()
-	b := tinyDB()
-	a.Opt.BuildSideSwap = true
-	b.Opt.BuildSideSwap = false
+	cfg := DefaultConfig()
+	cfg.BuildSideSwap = true
+	a := tiny(t, cfg)
+	cfg.BuildSideSwap = false
+	b := tiny(t, cfg)
 	ra := mustQuery(t, a, q)
 	rb := mustQuery(t, b, q)
 	if ra.Len() != rb.Len() {
@@ -460,12 +490,11 @@ func TestConstantFolding(t *testing.T) {
 }
 
 func TestExplainListsSteps(t *testing.T) {
-	db := tinyDB()
-	plan, err := db.Plan("SELECT region, COUNT(*) FROM sales WHERE amount > 1 GROUP BY region ORDER BY 2 DESC LIMIT 1")
+	eng := tiny(t, DefaultConfig())
+	ex, err := eng.Session().Explain("SELECT region, COUNT(*) FROM sales WHERE amount > 1 GROUP BY region ORDER BY 2 DESC LIMIT 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := plan.Explain()
 	for _, want := range []string{"scan", "aggregate", "sort", "project", "limit 1"} {
 		if !strings.Contains(ex, want) {
 			t.Fatalf("explain missing %q:\n%s", want, ex)
@@ -473,9 +502,9 @@ func TestExplainListsSteps(t *testing.T) {
 	}
 }
 
-func TestDemoDBEndToEnd(t *testing.T) {
-	db := DemoDB(99, 2000, 150)
-	res := mustQuery(t, db, `
+func TestDemoEndToEnd(t *testing.T) {
+	eng := engineOver(t, DefaultConfig(), demoRels(99, 2000, 150)...)
+	res := mustQuery(t, eng, `
 		SELECT c.country, COUNT(*) AS orders, SUM(s.price * (1 - s.discount)) AS revenue
 		FROM sales s JOIN customers c ON s.customer_id = c.customer_id
 		WHERE s.year >= 2012 AND s.quantity > 2
