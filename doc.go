@@ -51,17 +51,19 @@
 // distributed mode, where each worker host forks its own budget —
 // QueryStats.SpillSeconds beside the fabric time; rows stay identical
 // to the unbudgeted engine at every budget on every path. Movement is
-// pipelined the same way memory is budgeted: sql.Config.PipelineChunkRows
-// (and its Session override) splits every distributed movement phase —
-// broadcast, repartition shuffle, final gather — into deterministic
-// per-source chunks whose fabric flows are admitted as eager netsim
-// sub-rounds while consumers digest the previous chunk (hash builds
-// fill, partial aggregates fold, the coordinator's sequence merger
-// advances), the final gather competing at a boosted QoS weight; the
+// pipelined the same way memory is budgeted: every distributed movement
+// phase — broadcast, repartition shuffle, final gather — is a list of
+// deterministic per-source chunks plus a consumer that digests each
+// landed chunk (hash builds fill, partial aggregates fold, the
+// coordinator's sequence merger advances), the final gather competing
+// at a boosted QoS weight. sql.Config.PipelineChunkRows (and its Session
+// override) sets the chunk size; 0, the bulk engine, is one covering
+// chunk per phase admitted at the netsim barrier, while a positive size
+// admits chunks as eager sub-rounds that overlap the consumer. The
 // overlap is measured, not assumed (QueryStats.ComputeSeconds /
 // OverlapSeconds / WallSeconds beside NetSeconds), rows stay identical
-// to the bulk engine at every chunk size, and a chunk covering the
-// whole payload replays bulk bit-identically. The whole engine is
+// at every chunk size, and a chunk covering the whole payload replays
+// bulk bit-identically. The whole engine is
 // servable the same way it is embeddable: internal/serve fronts one
 // shared Engine as the multi-tenant rethinkd daemon (cmd/rethinkd) —
 // API-key tenants whose configured QoS class, fabric weight, worker and

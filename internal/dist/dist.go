@@ -14,6 +14,13 @@
 // netsim virtual clock. A query's network cost is exact under the
 // max-min fairness model; its compute cost is whatever the hardware
 // does.
+//
+// Every movement has one path. RepartitionChunks, BroadcastChunks,
+// GatherChunks and PartialGatherChunks split a payload into Chunks, and
+// QueryRun.RunPhase admits them while a consumer digests each landed
+// chunk. A chunk size ≤ 0 yields one covering chunk: that is the bulk
+// engine, admitted at the barrier, and a pipelined run differs from it
+// only in chunk count and eager admission.
 package dist
 
 import (
@@ -137,7 +144,7 @@ func (c *Cluster) EstimateFanoutSeconds(sendBytes []float64) float64 {
 	return worst
 }
 
-// Transfer is one point-to-point bulk movement in a phase. Src and Dst
+// Transfer is one point-to-point movement in a phase chunk. Src and Dst
 // are shard indexes, or Coordinator.
 type Transfer struct {
 	Src, Dst int
@@ -150,12 +157,12 @@ type PhaseStat struct {
 	Flows   int
 	Bytes   float64
 	Seconds float64
-	// Chunks is the number of pipelined sub-rounds the phase was split
-	// into (0 for bulk-synchronous phases). ComputeSeconds is the modeled
-	// consumer compute the phase performed on landed chunks, and
-	// OverlapSeconds is the part of it hidden under in-flight flows —
-	// both zero for bulk phases, whose compute happens strictly after the
-	// movement.
+	// Chunks is the number of eager sub-rounds the phase was split into;
+	// ComputeSeconds is the modeled consumer compute the phase performed
+	// on landed chunks, and OverlapSeconds is the part of it hidden under
+	// in-flight flows. All three stay zero for phases admitted at the
+	// barrier (the bulk engine's one covering chunk, recovery phases),
+	// whose consumption happens strictly after the movement.
 	Chunks         int
 	ComputeSeconds float64
 	OverlapSeconds float64
@@ -184,12 +191,13 @@ type QueryStats struct {
 	// time, not fabric time, so it is reported beside NetSeconds rather
 	// than folded in.
 	SpillSeconds float64
-	// ComputeSeconds is the modeled time pipelined phases spent consuming
-	// landed chunks (probe inserts, partial-agg folds, gather merges),
-	// priced at ChunkComputeBytesPerSec. OverlapSeconds is the portion of
-	// that compute hidden under in-flight flows — the measured (not
-	// assumed) win of pipelining. Both are zero on bulk-synchronous runs,
-	// where consumption starts only after NetSeconds has fully elapsed.
+	// ComputeSeconds is the modeled time eagerly admitted phases spent
+	// consuming landed chunks (hash-build inserts, partial-agg folds,
+	// gather merges), priced at ChunkComputeBytesPerSec. OverlapSeconds is
+	// the portion of that compute hidden under in-flight flows — the
+	// measured (not assumed) win of pipelining. Both are zero on bulk runs,
+	// whose one-chunk phases wait at the barrier and are consumed only
+	// after NetSeconds has fully elapsed.
 	ComputeSeconds float64
 	OverlapSeconds float64
 	// RecoverySeconds is the modeled cost of surviving injected faults:
@@ -270,7 +278,7 @@ type QueryRun struct {
 	link   map[dirKey]float64
 	closed bool
 	// class/weight are the query's QoS defaults, kept so per-phase
-	// overrides (RunPhaseQoS boosting the final gather) can scale the
+	// overrides (RunPhase boosting the final gather) can scale the
 	// query's own weight rather than replace it with an absolute one.
 	class  string
 	weight float64
@@ -360,41 +368,103 @@ func (q *QueryRun) attribute(flows []*netsim.Flow) {
 	}
 }
 
-// RunPhase submits one flow per transfer for admission, blocks until the
-// round containing them completes, and records the phase makespan.
-func (q *QueryRun) RunPhase(name string, transfers []Transfer) error {
-	return q.RunPhaseQoS(name, transfers, "", 0)
-}
-
-// RunPhaseQoS is RunPhase with a per-phase QoS override: the phase's
-// flows carry class (empty inherits the query's class) and compete at the
-// query's weight scaled by weightScale (≤0 inherits the query's weight
-// unscaled). The lowerer uses it to mark the latency-critical final
-// gather hotter than the bulk shuffles it now coexists with.
-func (q *QueryRun) RunPhaseQoS(name string, transfers []Transfer, class string, weightScale float64) error {
-	_, err := q.RunPhaseMeasured(name, transfers, class, weightScale)
-	return err
-}
-
-// RunPhaseMeasured is RunPhaseQoS returning the phase's simulated
-// makespan. The lifecycle fault injector uses the measurement to place a
-// host death *within* the phase (die at Frac×makespan) and to price the
-// recovery phases it then runs.
-func (q *QueryRun) RunPhaseMeasured(name string, transfers []Transfer, class string, weightScale float64) (float64, error) {
-	if err := q.cancel.Err(); err != nil {
-		return 0, fmt.Errorf("dist: phase %s: %w", name, err)
+// RunPhase runs one movement phase: the payload split into chunks, plus
+// a consumer that digests each chunk once its flows have landed. A bulk
+// phase is a single covering chunk. Chunk k's flows are admitted on the
+// shared fabric while a goroutine consumes chunk k−1, and the last chunk
+// is consumed after its flows drain. consume(k), when non-nil, is called
+// exactly once per chunk, in order, and never concurrently with itself —
+// but it does run concurrently with the admission of chunk k+1, so it
+// must not touch the transfer lists it shares with them. class and
+// weightScale are a per-phase QoS override: the flows carry class (empty
+// inherits the query's class) and compete at the query's weight scaled
+// by weightScale (≤0 inherits the query's weight unscaled); the lowerer
+// uses it to mark the latency-critical final gather hotter than the
+// shuffles it may coexist with.
+//
+// eager selects the one real difference between bulk and pipelined
+// movement. With eager false each chunk waits at the admission barrier
+// (netsim Party.Submit), so concurrent queries' phases share rounds
+// deterministically, and the phase records no consumer compute — the
+// bulk engine consumes strictly after its movement. With eager true each
+// chunk is admitted as an eager sub-round (Party.SubmitEager) and the
+// phase records measured overlap, not assumed: each chunk's network
+// seconds come from the simulator, its compute seconds from
+// ComputeBytes, and OverlapSeconds is the compute the pipeline hid under
+// in-flight flows (zero for a single chunk, bounded by min(net,
+// compute)).
+//
+// RunPhase returns the phase's simulated network seconds; the lifecycle
+// fault injector uses them to place a host death within the phase. On
+// any error — cancellation, a failed submission, a failed consumer — the
+// in-flight consumer goroutine is joined before returning, so callers
+// never leak one.
+func (q *QueryRun) RunPhase(name string, chunks []Chunk, class string, weightScale float64, eager bool, consume func(k int) error) (float64, error) {
+	if consume == nil {
+		consume = func(int) error { return nil }
 	}
-	reqs, bytes := q.flowReqs(transfers, class, weightScale)
-	sec, flows, err := q.party.Submit(reqs)
-	if err != nil {
-		return 0, fmt.Errorf("dist: phase %s: %w", name, err)
+	submit := q.party.Submit
+	if eager {
+		submit = q.party.SubmitEager
 	}
-	q.attribute(flows)
-	q.stats.Phases = append(q.stats.Phases, PhaseStat{Name: name, Flows: len(reqs), Bytes: bytes, Seconds: sec})
-	q.stats.Flows += len(reqs)
-	q.stats.BytesShuffled += bytes
-	q.stats.NetSeconds += sec
-	return sec, nil
+	var netSum, compSum, compDone float64
+	flowsN := 0
+	bytesSum := 0.0
+	done := make(chan error, 1)
+	inFlight := false
+	join := func() error {
+		if !inFlight {
+			return nil
+		}
+		inFlight = false
+		return <-done
+	}
+	for k := range chunks {
+		if err := q.cancel.Err(); err != nil {
+			join()
+			return 0, fmt.Errorf("dist: phase %s: %w", name, err)
+		}
+		reqs, bytes := q.flowReqs(chunks[k].Transfers, class, weightScale)
+		if k > 0 {
+			// Overlap: digest the previous chunk while this one drains.
+			inFlight = true
+			go func(kk int) { done <- consume(kk) }(k - 1)
+		}
+		sec, flows, err := submit(reqs)
+		if err != nil {
+			join()
+			return 0, fmt.Errorf("dist: phase %s chunk %d: %w", name, k, err)
+		}
+		if err := join(); err != nil {
+			return 0, fmt.Errorf("dist: phase %s chunk %d consume: %w", name, k-1, err)
+		}
+		q.attribute(flows)
+		flowsN += len(reqs)
+		bytesSum += bytes
+		netSum += sec
+		// Modeled timeline: network chunks serialize (netSum), chunk k's
+		// compute starts when its bytes have landed and the previous
+		// chunk's compute is done, whichever is later.
+		cs := chunks[k].ComputeSeconds()
+		compDone = max(compDone, netSum) + cs
+		compSum += cs
+	}
+	if len(chunks) > 0 {
+		if err := consume(len(chunks) - 1); err != nil {
+			return 0, fmt.Errorf("dist: phase %s chunk %d consume: %w", name, len(chunks)-1, err)
+		}
+	}
+	ps := PhaseStat{Name: name, Flows: flowsN, Bytes: bytesSum, Seconds: netSum}
+	if eager {
+		ps.Chunks, ps.ComputeSeconds, ps.OverlapSeconds = len(chunks), compSum, netSum+compSum-compDone
+		q.stats.ComputeSeconds += ps.ComputeSeconds
+		q.stats.OverlapSeconds += ps.OverlapSeconds
+	}
+	q.stats.Phases = append(q.stats.Phases, ps)
+	q.stats.Flows += flowsN
+	q.stats.BytesShuffled += bytesSum
+	q.stats.NetSeconds += netSum
+	return netSum, nil
 }
 
 // AddRecovery folds fault-recovery work into the query's stats: sec of

@@ -65,12 +65,19 @@ func TestShardRelationHash(t *testing.T) {
 	}
 }
 
-// TestMergeBySeq reconstructs the original relation from its shards.
+// oneChunk wraps a copy of a transfer list (RunPhase sorts it in place)
+// as a bulk phase's single covering chunk.
+func oneChunk(ts ...Transfer) []Chunk {
+	return []Chunk{{Transfers: append([]Transfer(nil), ts...)}}
+}
+
+// TestMergeBySeq reconstructs the original relation from its shards
+// through the one-chunk broadcast's seq merge.
 func TestMergeBySeq(t *testing.T) {
 	rel := testRel(57)
 	for _, strat := range []Strategy{RangeShard, HashShard} {
 		st := ShardRelation(rel, 5, strat, 0)
-		merged := MergeBySeq("m", st.Shards, st.SeqCol(), true)
+		merged, _, _ := BroadcastChunks(st.Shards, st.SeqCol(), true, 0)
 		if len(merged.Rows) != 57 || len(merged.Schema) != 2 {
 			t.Fatalf("%v: merged %d rows, %d cols", strat, len(merged.Rows), len(merged.Schema))
 		}
@@ -82,12 +89,17 @@ func TestMergeBySeq(t *testing.T) {
 	}
 }
 
-// TestRepartition: buckets by hash, destinations seq-sorted, transfers
-// only for rows that change shards.
+// TestRepartition: the one-chunk (bulk) repartition buckets by hash,
+// keeps destinations seq-sorted, and emits transfers only for rows that
+// change shards.
 func TestRepartition(t *testing.T) {
 	rel := testRel(80)
 	st := ShardRelation(rel, 4, RangeShard, -1)
-	dests, transfers := Repartition(st.Shards, 0, st.SeqCol())
+	dests, chunks, cum := RepartitionChunks(st.Shards, 0, st.SeqCol(), 0)
+	if len(chunks) != 1 || len(cum) != 1 {
+		t.Fatalf("chunk size 0 must yield one covering chunk, got %d", len(chunks))
+	}
+	transfers := chunks[0].Transfers
 	total := 0
 	for d, rel2 := range dests {
 		last := int64(-1)
@@ -105,6 +117,11 @@ func TestRepartition(t *testing.T) {
 	if total != 80 {
 		t.Fatalf("lost rows: %d", total)
 	}
+	for d := range dests {
+		if cum[0][d] != len(dests[d].Rows) {
+			t.Fatalf("dest %d: one chunk lands %d of %d rows", d, cum[0][d], len(dests[d].Rows))
+		}
+	}
 	for _, tr := range transfers {
 		if tr.Src == tr.Dst || tr.Bytes <= 0 {
 			t.Fatalf("bogus transfer %+v", tr)
@@ -112,12 +129,17 @@ func TestRepartition(t *testing.T) {
 	}
 }
 
-// TestBroadcast: the merged build side is the original serial order and
-// every non-empty shard ships to every other shard.
+// TestBroadcast: the one-chunk (bulk) broadcast's merged build side is
+// the original serial order and every non-empty shard ships its whole
+// relation to every other shard.
 func TestBroadcast(t *testing.T) {
 	rel := testRel(40)
 	st := ShardRelation(rel, 4, HashShard, 0)
-	merged, transfers := Broadcast(st.Shards, st.SeqCol(), true)
+	merged, chunks, bounds := BroadcastChunks(st.Shards, st.SeqCol(), true, 0)
+	if len(chunks) != 1 || len(bounds) != 1 || bounds[0] != 40 {
+		t.Fatalf("chunk size 0 must yield one covering chunk: %d chunks, bounds %v", len(chunks), bounds)
+	}
+	transfers := chunks[0].Transfers
 	if len(merged.Rows) != 40 {
 		t.Fatalf("merged %d rows", len(merged.Rows))
 	}
@@ -134,6 +156,11 @@ func TestBroadcast(t *testing.T) {
 	}
 	if want := nonEmpty * 3; len(transfers) != want {
 		t.Fatalf("got %d transfers, want %d", len(transfers), want)
+	}
+	for _, tr := range transfers {
+		if want := st.Shards[tr.Src].EncodedBytes(); tr.Bytes != want {
+			t.Fatalf("src %d ships %v bytes, want its relation's %v", tr.Src, tr.Bytes, want)
+		}
 	}
 }
 
@@ -152,18 +179,27 @@ func TestClusterPhases(t *testing.T) {
 			t.Fatalf("%s: path pricing returned %v", name, sec)
 		}
 		qr := c.NewQuery()
-		if err := qr.RunPhase("shuffle", []Transfer{
-			{Src: 0, Dst: 1, Bytes: 1e6},
-			{Src: 1, Dst: 2, Bytes: 2e6},
-			{Src: 3, Dst: 3, Bytes: 1e6}, // same host: skipped
-			{Src: 2, Dst: 0, Bytes: 0},   // empty: skipped
-		}); err != nil {
+		sec, err := qr.RunPhase("shuffle", oneChunk(
+			Transfer{Src: 0, Dst: 1, Bytes: 1e6},
+			Transfer{Src: 1, Dst: 2, Bytes: 2e6},
+			Transfer{Src: 3, Dst: 3, Bytes: 1e6}, // same host: skipped
+			Transfer{Src: 2, Dst: 0, Bytes: 0},   // empty: skipped
+		), "", 0, false, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := qr.RunPhase("gather", GatherTransfers([]float64{1e5, 0, 1e5, 1e5})); err != nil {
+		if _, err := qr.RunPhase("gather", oneChunk(
+			Transfer{Src: 0, Dst: Coordinator, Bytes: 1e5},
+			Transfer{Src: 1, Dst: Coordinator, Bytes: 0}, // empty: skipped
+			Transfer{Src: 2, Dst: Coordinator, Bytes: 1e5},
+			Transfer{Src: 3, Dst: Coordinator, Bytes: 1e5},
+		), "", 0, false, nil); err != nil {
 			t.Fatal(err)
 		}
 		s := qr.Finish()
+		if sec != s.Phases[0].Seconds {
+			t.Fatalf("%s: RunPhase returned %v, phase recorded %v", name, sec, s.Phases[0].Seconds)
+		}
 		if s.Flows != 5 || s.BytesShuffled != 3.3e6 {
 			t.Fatalf("%s: flows=%d bytes=%v", name, s.Flows, s.BytesShuffled)
 		}

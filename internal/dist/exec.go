@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -178,125 +177,4 @@ func RunPartialAggs(frags []relational.BatchOp, groupCols []int, aggs []relation
 		}
 	}
 	return out, nil
-}
-
-// ForEachBySeq visits every row of the per-shard relations in ascending
-// seqCol order, calling fn(shard, rowIndex) per row. Every input must be
-// seq-ascending (shard streams are by construction); equal tags — join
-// fan-out duplicates — can only occur within one shard (the strict '<'
-// then keeps that shard's run together), so the visit order is a total
-// deterministic order equal to the single-node row order. MergeBySeq and
-// the planner's re-sequencing both iterate through it, keeping the
-// tie-break rule in one place.
-func ForEachBySeq(shards []*relational.Relation, seqCol int, fn func(shard, row int)) {
-	pos := make([]int, len(shards))
-	for {
-		best := -1
-		var bestSeq int64
-		for i, s := range shards {
-			if pos[i] >= len(s.Rows) {
-				continue
-			}
-			if seq := s.Rows[pos[i]][seqCol].I; best < 0 || seq < bestSeq {
-				best, bestSeq = i, seq
-			}
-		}
-		if best < 0 {
-			return
-		}
-		fn(best, pos[best])
-		pos[best]++
-	}
-}
-
-// MergeBySeq k-way merges per-shard relations on the seqCol column into
-// one relation. strip drops the seq column (which must be the last) from
-// the output rows.
-func MergeBySeq(name string, shards []*relational.Relation, seqCol int, strip bool) *relational.Relation {
-	schema := shards[0].Schema
-	if strip {
-		schema = schema[:seqCol]
-	}
-	out := relational.NewRelation(name, schema)
-	total := 0
-	for _, s := range shards {
-		total += len(s.Rows)
-	}
-	out.Rows = make([]relational.Row, 0, total)
-	ForEachBySeq(shards, seqCol, func(shard, row int) {
-		r := shards[shard].Rows[row]
-		if strip {
-			r = r[:seqCol]
-		}
-		out.Rows = append(out.Rows, r)
-	})
-	return out
-}
-
-// Repartition hashes each shard relation's rows on keyCol into one
-// bucket per destination shard and reassembles every destination's
-// bucket sorted by seqCol (stable, so fan-out duplicates keep their
-// order). It returns the per-destination relations plus the transfers
-// crossing the fabric (rows whose bucket is their current shard move no
-// bytes).
-func Repartition(shards []*relational.Relation, keyCol, seqCol int) ([]*relational.Relation, []Transfer) {
-	s := len(shards)
-	dests := make([]*relational.Relation, s)
-	for i := range dests {
-		dests[i] = relational.NewRelation(shards[0].Name, shards[0].Schema)
-	}
-	var transfers []Transfer
-	for src, rel := range shards {
-		bytesTo := make([]float64, s)
-		for _, row := range rel.Rows {
-			d := int(hashValue(row[keyCol]) % uint64(s))
-			dests[d].Rows = append(dests[d].Rows, row)
-			if d != src {
-				bytesTo[d] += row.EncodedBytes()
-			}
-		}
-		for d, b := range bytesTo {
-			if b > 0 {
-				transfers = append(transfers, Transfer{Src: src, Dst: d, Bytes: b})
-			}
-		}
-	}
-	for _, d := range dests {
-		rows := d.Rows
-		sort.SliceStable(rows, func(i, j int) bool { return rows[i][seqCol].I < rows[j][seqCol].I })
-	}
-	return dests, transfers
-}
-
-// Broadcast replicates the union of the shard relations to every worker:
-// it returns the seq-merged relation (the build side every shard will
-// probe against, in exact serial order, seq column stripped when strip)
-// plus the all-to-all transfer list.
-func Broadcast(shards []*relational.Relation, seqCol int, strip bool) (*relational.Relation, []Transfer) {
-	merged := MergeBySeq(shards[0].Name, shards, seqCol, strip)
-	var transfers []Transfer
-	for src, rel := range shards {
-		b := rel.EncodedBytes()
-		if b <= 0 {
-			continue
-		}
-		for dst := range shards {
-			if dst != src {
-				transfers = append(transfers, Transfer{Src: src, Dst: dst, Bytes: b})
-			}
-		}
-	}
-	return merged, transfers
-}
-
-// GatherTransfers returns the flows shipping each shard's bytes to the
-// coordinator.
-func GatherTransfers(bytes []float64) []Transfer {
-	var out []Transfer
-	for i, b := range bytes {
-		if b > 0 {
-			out = append(out, Transfer{Src: i, Dst: Coordinator, Bytes: b})
-		}
-	}
-	return out
 }

@@ -30,7 +30,7 @@ func TestFabricSharedContention(t *testing.T) {
 		}
 		qr := NewFabric(c).NewQuery()
 		for pi, ts := range phases[q] {
-			if err := qr.RunPhase([]string{"move", "gather"}[pi], append([]Transfer{}, ts...)); err != nil {
+			if _, err := qr.RunPhase([]string{"move", "gather"}[pi], oneChunk(ts...), "", 0, false, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -58,7 +58,7 @@ func TestFabricSharedContention(t *testing.T) {
 			qr := f.NewQuery()
 			defer qr.Close()
 			for pi, ts := range phases[i] {
-				if err := qr.RunPhase([]string{"move", "gather"}[pi], append([]Transfer{}, ts...)); err != nil {
+				if _, err := qr.RunPhase([]string{"move", "gather"}[pi], oneChunk(ts...), "", 0, false, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -107,7 +107,7 @@ func TestQueryRunCloseIdempotent(t *testing.T) {
 	q1.Close()
 	q1.Finish()
 	q2 := f.NewQuery()
-	if err := q2.RunPhase("move", []Transfer{{Src: 0, Dst: 1, Bytes: 1e6}}); err != nil {
+	if _, err := q2.RunPhase("move", oneChunk(Transfer{Src: 0, Dst: 1, Bytes: 1e6}), "", 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s := q2.Finish(); s.NetSeconds <= 0 {
@@ -153,7 +153,7 @@ func TestSlotWithdrawOnce(t *testing.T) {
 		defer wg.Done()
 		qr := f.NewQuery()
 		defer qr.Close()
-		if err := qr.RunPhase("move", []Transfer{{Src: 0, Dst: 1, Bytes: 1e6}}); err != nil {
+		if _, err := qr.RunPhase("move", oneChunk(Transfer{Src: 0, Dst: 1, Bytes: 1e6}), "", 0, false, nil); err != nil {
 			t.Error(err)
 		}
 		qr.Finish()
@@ -167,7 +167,7 @@ func TestSlotWithdrawOnce(t *testing.T) {
 	// Party B joins; the round runs and both complete.
 	qr := f.NewQuery()
 	defer qr.Close()
-	if err := qr.RunPhase("move", []Transfer{{Src: 2, Dst: 3, Bytes: 1e6}}); err != nil {
+	if _, err := qr.RunPhase("move", oneChunk(Transfer{Src: 2, Dst: 3, Bytes: 1e6}), "", 0, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	qr.Finish()

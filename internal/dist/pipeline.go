@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"fmt"
+	"sort"
 
 	"repro/internal/relational"
 )
@@ -15,26 +15,25 @@ import (
 const ChunkComputeBytesPerSec = 4 * float64(1<<30)
 
 // GatherWeightBoost scales the final gather's flow weights over the
-// query's own weight (RunPhaseQoS/RunPipelined weightScale): the
-// latency-critical tail phase competes hotter than the bulk shuffle
-// chunks it coexists with under pipelining. A power of two, and applied
-// uniformly to every flow of the phase, so a gather-only round's
-// weighted max-min rates — share = cap/Σw scaled back by w — are
-// bit-identical to the unboosted allocation; the boost only matters when
-// gather flows share a round with other traffic, which is exactly the
-// pipelined case it exists for.
+// query's own weight (RunPhase weightScale): the latency-critical tail
+// phase competes hotter than the shuffle chunks it coexists with under
+// pipelining. A power of two, and applied uniformly to every flow of the
+// phase, so a gather-only round's weighted max-min rates — share =
+// cap/Σw scaled back by w — are bit-identical to the unboosted
+// allocation; the boost only matters when gather flows share a round
+// with other traffic, which is exactly the pipelined case it exists for.
 const GatherWeightBoost = 4
 
 // GatherClass tags final-gather flows for per-class fabric attribution
 // and controller policies.
 const GatherClass = "gather"
 
-// Chunk is one pipelined sub-round of a movement phase: the flows that
-// cross the fabric for this slice of the payload, plus the bytes the
-// receiving side must digest once they land (priced at
-// ChunkComputeBytesPerSec). ComputeBytes counts the whole slice — rows
-// that stayed on their host still cost consumer compute even though they
-// moved nothing.
+// Chunk is one sub-round of a movement phase (the whole phase, for the
+// bulk engine's one covering chunk): the flows that cross the fabric for
+// this slice of the payload, plus the bytes the receiving side must
+// digest once they land (priced at ChunkComputeBytesPerSec).
+// ComputeBytes counts the whole slice — rows that stayed on their host
+// still cost consumer compute even though they moved nothing.
 type Chunk struct {
 	Transfers    []Transfer
 	ComputeBytes float64
@@ -46,92 +45,32 @@ func (c Chunk) ComputeSeconds() float64 {
 	return c.ComputeBytes / ChunkComputeBytesPerSec
 }
 
-// RunPipelined runs one movement phase as pipelined sub-rounds: chunk
-// k's flows are admitted eagerly on the shared fabric (netsim
-// sub-rounds, not full barriers) while a goroutine consumes chunk k−1,
-// and the last chunk is consumed after its flows drain. consume(k) is
-// called exactly once per chunk, in order, and never concurrently with
-// itself — but it does run concurrently with the admission of chunk
-// k+1, so it must not touch the transfer lists it shares with them.
-//
-// The phase records measured overlap, not assumed: each chunk's network
-// seconds come from the simulator, its compute seconds from
-// ComputeBytes, and the phase's OverlapSeconds is the compute the
-// pipeline hid under in-flight flows (zero for a single chunk, bounded
-// by min(net, compute)). class/weightScale are per-phase QoS as in
-// RunPhaseQoS.
-//
-// On any error — cancellation, a failed submission, a failed consumer —
-// the in-flight consumer goroutine is joined before returning, so
-// callers never leak one.
-func (q *QueryRun) RunPipelined(name string, chunks []Chunk, class string, weightScale float64, consume func(k int) error) error {
-	var netSum, compSum, netDone, compDone float64
-	flowsN := 0
-	bytesSum := 0.0
-	done := make(chan error, 1)
-	inFlight := false
-	join := func() error {
-		if !inFlight {
-			return nil
-		}
-		inFlight = false
-		return <-done
+// chunking normalizes a chunk size for a payload of total > 0 rows and
+// returns how many chunks cover it. A size ≤ 0 — the bulk engine —
+// becomes one chunk covering everything.
+func chunking(chunkRows, total int) (size, n int) {
+	if chunkRows <= 0 {
+		chunkRows = total
 	}
-	for k := range chunks {
-		if err := q.cancel.Err(); err != nil {
-			join()
-			return fmt.Errorf("dist: phase %s: %w", name, err)
-		}
-		reqs, bytes := q.flowReqs(chunks[k].Transfers, class, weightScale)
-		if k > 0 {
-			// Overlap: digest the previous chunk while this one drains.
-			inFlight = true
-			go func(kk int) { done <- consume(kk) }(k - 1)
-		}
-		sec, flows, err := q.party.SubmitEager(reqs)
-		if err != nil {
-			join()
-			return fmt.Errorf("dist: phase %s chunk %d: %w", name, k, err)
-		}
-		if err := join(); err != nil {
-			return fmt.Errorf("dist: phase %s chunk %d consume: %w", name, k-1, err)
-		}
-		q.attribute(flows)
-		flowsN += len(reqs)
-		bytesSum += bytes
-		netSum += sec
-		// Modeled timeline: network chunks serialize (netDone), chunk k's
-		// compute starts when its bytes have landed and the previous
-		// chunk's compute is done, whichever is later.
-		netDone += sec
-		if netDone > compDone {
-			compDone = netDone
-		}
-		cs := chunks[k].ComputeSeconds()
-		compDone += cs
-		compSum += cs
-	}
-	if len(chunks) > 0 {
-		if err := consume(len(chunks) - 1); err != nil {
-			return fmt.Errorf("dist: phase %s chunk %d consume: %w", name, len(chunks)-1, err)
-		}
-	}
-	overlap := netSum + compSum - compDone
-	q.stats.Phases = append(q.stats.Phases, PhaseStat{
-		Name: name, Flows: flowsN, Bytes: bytesSum, Seconds: netSum,
-		Chunks: len(chunks), ComputeSeconds: compSum, OverlapSeconds: overlap,
-	})
-	q.stats.Flows += flowsN
-	q.stats.BytesShuffled += bytesSum
-	q.stats.NetSeconds += netSum
-	q.stats.ComputeSeconds += compSum
-	q.stats.OverlapSeconds += overlap
-	return nil
+	return chunkRows, (total + chunkRows - 1) / chunkRows
 }
 
-// chunkCount returns how many chunkRows-sized chunks cover total rows.
-func chunkCount(total, chunkRows int) int {
-	return (total + chunkRows - 1) / chunkRows
+// maxRows returns the longest shard's row count.
+func maxRows(shards []*relational.Relation) int {
+	n := 0
+	for _, sh := range shards {
+		n = max(n, len(sh.Rows))
+	}
+	return n
+}
+
+// totalRows returns the shards' summed row count.
+func totalRows(shards []*relational.Relation) int {
+	n := 0
+	for _, sh := range shards {
+		n += len(sh.Rows)
+	}
+	return n
 }
 
 // chunkWindow clips source-local chunk g's row window [g·chunkRows,
@@ -164,43 +103,40 @@ func chunkWatermark(shards []*relational.Relation, seqCol, g, chunkRows int) (w 
 	return w, ok
 }
 
-// RepartitionChunks is Repartition split into pipelined chunks. The
-// destination relations are identical to the bulk path's (same rows,
-// same seq order); the movement is striped across sources — chunk g
-// carries every source's local rows [g·chunkRows, (g+1)·chunkRows), so
-// all source uplinks transmit in parallel within each sub-round,
-// exactly as they do in the one bulk round. cum[g][d] is the prefix of
-// the seq-sorted bucket dests[d].Rows a consumer may digest after chunk
-// g: the rows below the landed-seq watermark, which is what lets an
-// incremental hash build insert in the bulk build's exact order while
-// later chunks are still in flight. The per-(src,dst) chunk bytes sum
-// to the bulk transfer bytes exactly (byte counts are integers, so
-// float summation order cannot perturb them), and a single covering
-// chunk emits the bulk transfer list bit-for-bit.
+// RepartitionChunks hashes each shard relation's rows on keyCol into one
+// bucket per destination shard, in one pass that also sizes the
+// movement. dests[d] is destination d's bucket sorted by seqCol (stable,
+// so fan-out duplicates keep their order); rows whose bucket is their
+// current shard move no bytes.
+//
+// The movement is striped across sources: chunk g carries every source's
+// local rows [g·chunkRows, (g+1)·chunkRows), so all source uplinks
+// transmit in parallel within each sub-round. chunkRows ≤ 0 yields one
+// covering chunk, the bulk shuffle. cum[g][d] is the prefix of dests[d]
+// a consumer may digest after chunk g: the rows below the landed-seq
+// watermark, which is what lets an incremental hash build insert in the
+// one-chunk build's exact order while later chunks are still in flight.
+// The per-(src,dst) bytes are integers, so they sum to the same totals
+// at every chunk size.
 func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows int) (dests []*relational.Relation, chunks []Chunk, cum [][]int) {
-	dests, _ = Repartition(shards, keyCol, seqCol)
 	s := len(shards)
-	maxRows := 0
-	for _, sh := range shards {
-		if len(sh.Rows) > maxRows {
-			maxRows = len(sh.Rows)
-		}
+	dests = make([]*relational.Relation, s)
+	for i := range dests {
+		dests[i] = relational.NewRelation(shards[0].Name, shards[0].Schema)
 	}
-	if maxRows == 0 {
+	longest := maxRows(shards)
+	if longest == 0 {
 		return dests, nil, nil
 	}
-	n := chunkCount(maxRows, chunkRows)
+	chunkRows, n := chunking(chunkRows, longest)
 	chunks = make([]Chunk, n)
-	for g := 0; g < n; g++ {
-		var ts []Transfer
+	bytesTo := make([]float64, s)
+	for g := range chunks {
 		for src, rel := range shards {
 			lo, hi := chunkWindow(rel, g, chunkRows)
-			if lo == hi {
-				continue
-			}
-			bytesTo := make([]float64, s)
 			for _, row := range rel.Rows[lo:hi] {
 				d := int(hashValue(row[keyCol]) % uint64(s))
+				dests[d].Rows = append(dests[d].Rows, row)
 				b := row.EncodedBytes()
 				chunks[g].ComputeBytes += b
 				if d != src {
@@ -209,11 +145,15 @@ func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows 
 			}
 			for d, b := range bytesTo {
 				if b > 0 {
-					ts = append(ts, Transfer{Src: src, Dst: d, Bytes: b})
+					chunks[g].Transfers = append(chunks[g].Transfers, Transfer{Src: src, Dst: d, Bytes: b})
+					bytesTo[d] = 0
 				}
 			}
 		}
-		chunks[g].Transfers = ts
+	}
+	for _, d := range dests {
+		rows := d.Rows
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i][seqCol].I < rows[j][seqCol].I })
 	}
 	cum = make([][]int, n)
 	pos := make([]int, s)
@@ -235,30 +175,38 @@ func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows 
 	return dests, chunks, cum
 }
 
-// BroadcastChunks is Broadcast split into pipelined chunks. merged is
-// identical to the bulk path's seq-merged build side; chunk g carries
-// every source's local rows [g·chunkRows, (g+1)·chunkRows) to every
-// other shard — striped across sources like RepartitionChunks, so all
-// uplinks transmit in parallel within each sub-round. bounds[g] is the
-// prefix of merged a consumer may digest after chunk g (the rows below
-// the landed-seq watermark; counted against the unstripped shards, so
-// it works whether or not merged kept the seq column). The per-source
-// bytes across chunks sum to the bulk per-source relation bytes
-// exactly, and byte accounting is done pre-strip (the wire carries the
-// seq column, as in the bulk path).
+// BroadcastChunks replicates the union of the shard relations to every
+// worker. merged is the seq-merged build side every shard will probe
+// against, in exact serial order (seq column stripped when strip).
+// Chunk g carries every source's local rows [g·chunkRows,
+// (g+1)·chunkRows) to every other shard — striped across sources like
+// RepartitionChunks, so all uplinks transmit in parallel within each
+// sub-round; chunkRows ≤ 0 yields one covering chunk, the bulk
+// broadcast. bounds[g] is the prefix of merged a consumer may digest
+// after chunk g (the rows below the landed-seq watermark; counted
+// against the unstripped shards, so it works whether or not merged kept
+// the seq column). Byte accounting is done pre-strip: the wire carries
+// the seq column.
 func BroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, chunkRows int) (merged *relational.Relation, chunks []Chunk, bounds []int) {
-	merged = MergeBySeq(shards[0].Name, shards, seqCol, strip)
-	total := len(merged.Rows)
+	schema := shards[0].Schema
+	if strip {
+		schema = schema[:seqCol]
+	}
+	merged = relational.NewRelation(shards[0].Name, schema)
+	total := totalRows(shards)
 	if total == 0 {
 		return merged, nil, nil
 	}
-	maxRows := 0
-	for _, sh := range shards {
-		if len(sh.Rows) > maxRows {
-			maxRows = len(sh.Rows)
+	merged.Rows = make([]relational.Row, 0, total)
+	NewSeqMerger(shards, seqCol).Take(total, func(shard, row int) {
+		r := shards[shard].Rows[row]
+		if strip {
+			r = r[:seqCol]
 		}
-	}
-	n := chunkCount(maxRows, chunkRows)
+		merged.Rows = append(merged.Rows, r)
+	})
+	longest := maxRows(shards)
+	chunkRows, n := chunking(chunkRows, longest)
 	chunks = make([]Chunk, n)
 	bounds = make([]int, n)
 	pos := make([]int, len(shards))
@@ -266,9 +214,6 @@ func BroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, chun
 		var ts []Transfer
 		for src, rel := range shards {
 			lo, hi := chunkWindow(rel, g, chunkRows)
-			if lo == hi {
-				continue
-			}
 			b := 0.0
 			for _, row := range rel.Rows[lo:hi] {
 				b += row.EncodedBytes()
@@ -305,53 +250,45 @@ func BroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, chun
 // rank chunks: chunk g ships each shard's share of rows ranked
 // [g·chunkRows, (g+1)·chunkRows) to the coordinator, and bounds[g] is
 // the cumulative global row count landed through chunk g (feed it to a
-// SeqMerger to reassemble the exact MergeBySeq order incrementally).
+// SeqMerger to reassemble the global seq order incrementally).
+// chunkRows ≤ 0 yields one covering chunk: each shard's whole relation,
+// the bulk gather.
 func GatherChunks(shards []*relational.Relation, seqCol, chunkRows int) (chunks []Chunk, bounds []int) {
-	total := 0
-	for _, sh := range shards {
-		total += len(sh.Rows)
-	}
+	total := totalRows(shards)
 	if total == 0 {
 		return nil, nil
 	}
-	n := chunkCount(total, chunkRows)
+	chunkRows, n := chunking(chunkRows, total)
+	chunks = make([]Chunk, n)
+	bounds = make([]int, n)
 	srcBytes := make([][]float64, n)
-	compute := make([]float64, n)
 	for g := range srcBytes {
 		srcBytes[g] = make([]float64, len(shards))
 	}
 	r := 0
-	ForEachBySeq(shards, seqCol, func(shard, row int) {
+	NewSeqMerger(shards, seqCol).Take(total, func(shard, row int) {
 		g := r / chunkRows
 		r++
 		b := shards[shard].Rows[row].EncodedBytes()
 		srcBytes[g][shard] += b
-		compute[g] += b
+		chunks[g].ComputeBytes += b
 	})
-	chunks = make([]Chunk, n)
-	bounds = make([]int, n)
-	for g := 0; g < n; g++ {
-		var ts []Transfer
+	for g := range chunks {
 		for src, b := range srcBytes[g] {
 			if b > 0 {
-				ts = append(ts, Transfer{Src: src, Dst: Coordinator, Bytes: b})
+				chunks[g].Transfers = append(chunks[g].Transfers, Transfer{Src: src, Dst: Coordinator, Bytes: b})
 			}
 		}
-		chunks[g] = Chunk{Transfers: ts, ComputeBytes: compute[g]}
-		end := (g + 1) * chunkRows
-		if end > total {
-			end = total
-		}
-		bounds[g] = end
+		bounds[g] = min((g+1)*chunkRows, total)
 	}
 	return chunks, bounds
 }
 
-// PartialGatherChunks builds the pipelined gather of per-shard partial
+// PartialGatherChunks builds the gather of per-shard partial
 // aggregations: chunk g carries each shard's g-th sub-partial (shards
-// with fewer sub-partials simply stop contributing). Transfer and
-// compute bytes use the partials' own encoded size, as the bulk gather
-// does.
+// with fewer sub-partials simply stop contributing; an unsplit partial
+// is the one covering chunk of the bulk gather). Transfer and compute
+// bytes use the partials' own encoded size.
 func PartialGatherChunks(subs [][]*relational.PartialAgg) []Chunk {
 	n := 0
 	for _, s := range subs {
@@ -378,10 +315,15 @@ func PartialGatherChunks(subs [][]*relational.PartialAgg) []Chunk {
 	return chunks
 }
 
-// SeqMerger incrementally reproduces MergeBySeq: Take(upto) appends the
-// globally seq-ordered rows ranked below upto that have not been taken
-// yet. Taking bounds[0], bounds[1], … as gather chunks land yields, row
-// for row, the relation the bulk MergeBySeq builds in one shot.
+// SeqMerger k-way merges per-shard relations on their seq column, the
+// one place the coordinator's global row order is defined. Every input
+// must be seq-ascending (shard streams are by construction); equal tags
+// — join fan-out duplicates — can only occur within one shard, and the
+// strict '<' below then keeps that shard's run together, so the visit
+// order is a total deterministic order equal to the single-node row
+// order. Take advances the merge incrementally: taking bounds[0],
+// bounds[1], … as gather chunks land yields, row for row, the order one
+// covering chunk produces in a single Take.
 type SeqMerger struct {
 	shards []*relational.Relation
 	seqCol int
@@ -389,14 +331,15 @@ type SeqMerger struct {
 	taken  int
 }
 
-// NewSeqMerger returns a merger over the per-shard relations (each must
-// be seq-ascending, as shard streams are by construction).
+// NewSeqMerger returns a merger over the per-shard relations.
 func NewSeqMerger(shards []*relational.Relation, seqCol int) *SeqMerger {
 	return &SeqMerger{shards: shards, seqCol: seqCol, pos: make([]int, len(shards))}
 }
 
 // Take visits rows ranked [taken, upto) in global seq order, calling
-// fn(shard, rowIndex) for each, and advances the merger.
+// fn(shard, rowIndex) for each, and advances the merger. It stops early
+// once every shard is exhausted, so an upto past the total row count
+// visits everything that is left.
 func (m *SeqMerger) Take(upto int, fn func(shard, row int)) {
 	for m.taken < upto {
 		best := -1

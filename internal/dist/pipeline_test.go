@@ -11,14 +11,15 @@ import (
 var chunkSizes = []int{1, 7, 32, 1000}
 
 // TestRepartitionChunksParity: chunked repartition lands exactly the
-// bulk destinations, its per-(src,dst) bytes sum to the bulk transfers,
-// and each destination's cum counts are a prefix walk of its bucket.
+// one-chunk (bulk) destinations, its per-(src,dst) bytes sum to the
+// one-chunk transfers, and each destination's cum counts are a prefix
+// walk of its bucket.
 func TestRepartitionChunksParity(t *testing.T) {
 	rel := testRel(123)
 	st := ShardRelation(rel, 4, RangeShard, -1)
-	bulkDests, bulkTransfers := Repartition(st.Shards, 0, st.SeqCol())
+	bulkDests, bulkChunks, _ := RepartitionChunks(st.Shards, 0, st.SeqCol(), 0)
 	bulkBytes := map[[2]int]float64{}
-	for _, tr := range bulkTransfers {
+	for _, tr := range bulkChunks[0].Transfers {
 		bulkBytes[[2]int{tr.Src, tr.Dst}] += tr.Bytes
 	}
 	for _, cr := range chunkSizes {
@@ -73,14 +74,14 @@ func TestRepartitionChunksParity(t *testing.T) {
 }
 
 // TestBroadcastChunksParity: the chunked broadcast's merged build side
-// matches bulk, and each source's chunk bytes sum to its bulk relation
-// bytes.
+// matches the one-chunk (bulk) broadcast's, and each source's chunk
+// bytes sum to its one-chunk bytes.
 func TestBroadcastChunksParity(t *testing.T) {
 	rel := testRel(60)
 	st := ShardRelation(rel, 4, HashShard, 0)
-	bulkMerged, bulkTransfers := Broadcast(st.Shards, st.SeqCol(), true)
+	bulkMerged, bulkChunks, _ := BroadcastChunks(st.Shards, st.SeqCol(), true, 0)
 	bulkPerSrc := map[int]float64{}
-	for _, tr := range bulkTransfers {
+	for _, tr := range bulkChunks[0].Transfers {
 		bulkPerSrc[tr.Src] += tr.Bytes
 	}
 	for _, cr := range chunkSizes {
@@ -114,13 +115,13 @@ func TestBroadcastChunksParity(t *testing.T) {
 }
 
 // TestGatherChunksSeqMerger: taking each chunk's bound from a SeqMerger
-// reconstructs MergeBySeq row for row, and chunk bytes sum to the bulk
-// per-shard bytes.
+// reconstructs the original relation row for row at every chunk size
+// (0 = one covering chunk), and chunk bytes sum to the per-shard bytes.
 func TestGatherChunksSeqMerger(t *testing.T) {
 	rel := testRel(91)
 	st := ShardRelation(rel, 3, HashShard, 0)
-	bulk := MergeBySeq("m", st.Shards, st.SeqCol(), true)
-	for _, cr := range chunkSizes {
+	bulk := rel
+	for _, cr := range append([]int{0}, chunkSizes...) {
 		chunks, bounds := GatherChunks(st.Shards, st.SeqCol(), cr)
 		perShard := make([]float64, 3)
 		for _, ch := range chunks {
@@ -135,6 +136,9 @@ func TestGatherChunksSeqMerger(t *testing.T) {
 			if want := sh.EncodedBytes(); perShard[i] != want {
 				t.Fatalf("cr=%d shard %d: %v bytes want %v", cr, i, perShard[i], want)
 			}
+		}
+		if cr == 0 && len(chunks) != 1 {
+			t.Fatalf("chunk size 0 must yield one covering chunk, got %d", len(chunks))
 		}
 		out := relational.NewRelation("m", bulk.Schema)
 		m := NewSeqMerger(st.Shards, st.SeqCol())
@@ -155,8 +159,8 @@ func TestGatherChunksSeqMerger(t *testing.T) {
 }
 
 // TestEmptyShardNoZeroByteFlows: empty shards must not emit zero-byte
-// transfers that would join admission rounds — on the bulk emitters and
-// on every chunked path.
+// transfers that would join admission rounds — at one covering chunk
+// (the bulk engine) and on every chunked path.
 func TestEmptyShardNoZeroByteFlows(t *testing.T) {
 	empty := relational.NewRelation("t", relational.Schema{
 		{Name: "k", Type: relational.Int},
@@ -167,19 +171,19 @@ func TestEmptyShardNoZeroByteFlows(t *testing.T) {
 		full.MustAppend(relational.Row{relational.IntV(int64(i)), relational.IntV(int64(i))})
 	}
 	shards := []*relational.Relation{empty, full, empty}
-	if got := GatherTransfers([]float64{0, 5, 0}); len(got) != 1 || got[0].Src != 1 {
-		t.Fatalf("GatherTransfers kept zero-byte flows: %+v", got)
+	if got, _ := GatherChunks(shards, 1, 0); len(got) != 1 || len(got[0].Transfers) != 1 || got[0].Transfers[0].Src != 1 {
+		t.Fatalf("one-chunk gather kept zero-byte flows: %+v", got)
 	}
-	_, transfers := Repartition(shards, 0, 1)
-	for _, tr := range transfers {
+	_, rChunks, _ := RepartitionChunks(shards, 0, 1, 0)
+	for _, tr := range rChunks[0].Transfers {
 		if tr.Bytes <= 0 {
-			t.Fatalf("Repartition emitted zero-byte transfer %+v", tr)
+			t.Fatalf("one-chunk repartition emitted zero-byte transfer %+v", tr)
 		}
 	}
-	_, bTransfers := Broadcast(shards, 1, false)
-	for _, tr := range bTransfers {
+	_, bOne, _ := BroadcastChunks(shards, 1, false, 0)
+	for _, tr := range bOne[0].Transfers {
 		if tr.Bytes <= 0 || tr.Src != 1 {
-			t.Fatalf("Broadcast emitted transfer from empty shard: %+v", tr)
+			t.Fatalf("one-chunk broadcast emitted transfer from empty shard: %+v", tr)
 		}
 	}
 	_, chunks, _ := RepartitionChunks(shards, 0, 1, 4)
@@ -220,7 +224,7 @@ func TestRunPipelinedOverlap(t *testing.T) {
 	q := c.NewQuery()
 	defer q.Close()
 	var order []int
-	err = q.RunPipelined("shuffle", pipelineChunks(4, 1e6, float64(1<<28)), "", 0, func(k int) error {
+	_, err = q.RunPhase("shuffle", pipelineChunks(4, 1e6, float64(1<<28)), "", 0, true, func(k int) error {
 		order = append(order, k)
 		return nil
 	})
@@ -260,11 +264,28 @@ func TestRunPipelinedOverlap(t *testing.T) {
 	c2, _ := NewCluster("single", 4)
 	q2 := c2.NewQuery()
 	defer q2.Close()
-	if err := q2.RunPipelined("shuffle", pipelineChunks(1, 1e6, float64(1<<28)), "", 0, func(int) error { return nil }); err != nil {
+	if _, err := q2.RunPhase("shuffle", pipelineChunks(1, 1e6, float64(1<<28)), "", 0, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st2 := q2.Finish(); st2.OverlapSeconds != 0 || st2.ComputeSeconds <= 0 {
+	st2 := q2.Finish()
+	if st2.OverlapSeconds != 0 || st2.ComputeSeconds <= 0 {
 		t.Fatalf("single chunk: %+v", st2)
+	}
+
+	// The same chunk at the barrier (the bulk engine): identical network
+	// accounting, no chunk count and no consumer compute.
+	c3, _ := NewCluster("single", 4)
+	q3 := c3.NewQuery()
+	defer q3.Close()
+	if _, err := q3.RunPhase("shuffle", pipelineChunks(1, 1e6, float64(1<<28)), "", 0, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	st3 := q3.Finish()
+	if st3.NetSeconds != st2.NetSeconds || st3.BytesShuffled != st2.BytesShuffled || st3.Flows != st2.Flows {
+		t.Fatalf("barrier vs eager single chunk: %+v vs %+v", st3, st2)
+	}
+	if p := st3.Phases[0]; p.Chunks != 0 || p.ComputeSeconds != 0 || p.OverlapSeconds != 0 || st3.ComputeSeconds != 0 {
+		t.Fatalf("barrier phase charged pipeline stats: %+v", st3)
 	}
 }
 
@@ -275,7 +296,7 @@ func TestRunPipelinedRepeatable(t *testing.T) {
 		c, _ := NewCluster("leafspine", 4)
 		q := c.NewQuery()
 		defer q.Close()
-		if err := q.RunPipelined("shuffle", pipelineChunks(5, 2e6, float64(1<<27)), "", 0, func(int) error { return nil }); err != nil {
+		if _, err := q.RunPhase("shuffle", pipelineChunks(5, 2e6, float64(1<<27)), "", 0, true, nil); err != nil {
 			t.Fatal(err)
 		}
 		return q.Finish()
@@ -294,7 +315,7 @@ func TestRunPipelinedConsumeError(t *testing.T) {
 	q := c.NewQuery()
 	defer q.Close()
 	boom := errors.New("boom")
-	err := q.RunPipelined("shuffle", pipelineChunks(3, 1e6, 0), "", 0, func(k int) error {
+	_, err := q.RunPhase("shuffle", pipelineChunks(3, 1e6, 0), "", 0, true, func(k int) error {
 		if k == 0 {
 			return boom
 		}
@@ -314,7 +335,7 @@ func TestRunPipelinedCancelMidChunk(t *testing.T) {
 	defer q.Close()
 	cancelErr := fmt.Errorf("query cancelled")
 	n := 0
-	err := q.RunPipelined("shuffle", pipelineChunks(4, 1e6, 0), "", 0, func(k int) error {
+	_, err := q.RunPhase("shuffle", pipelineChunks(4, 1e6, 0), "", 0, true, func(k int) error {
 		n++
 		tok.Cancel(cancelErr)
 		return nil

@@ -40,62 +40,25 @@ func (m *Manager) NewGuard(qr *dist.QueryRun) *Guard {
 // current primary replica (the coordinator resolves to itself).
 func (g *Guard) HostFor(i int) int { return g.m.hostFor(i) }
 
-// RunPhase runs one bulk movement phase under fault injection: degrade
-// and partition events scheduled at this phase's ordinal land before the
-// flows are admitted (the phase runs over the degraded fabric), and a
-// kill event lands Frac through the phase — the dead host's data is
-// re-shipped from replicas in a "recover:" phase and the recovery cost
-// is measured into the query's stats.
-func (g *Guard) RunPhase(name string, transfers []dist.Transfer, class string, weightScale float64) error {
+// RunPhase runs one movement phase (see dist.QueryRun.RunPhase) under
+// fault injection. Degrade and partition events scheduled at this
+// phase's ordinal land before the flows are admitted, so the phase runs
+// over the degraded fabric. A kill event lands Frac through the phase:
+// the dead host's lost data is re-shipped from replicas in a "recover:"
+// phase admitted at the barrier, and the recovery cost is measured into
+// the query's stats.
+func (g *Guard) RunPhase(name string, chunks []dist.Chunk, class string, weightScale float64, eager bool, consume func(k int) error) (float64, error) {
 	idx := g.phase
 	g.phase++
 	evs := g.m.claimPhaseEvents(idx)
 	if err := g.applyLinkFaults(evs); err != nil {
-		return err
+		return 0, err
 	}
-	_, err := g.qr.RunPhaseMeasured(name, transfers, class, weightScale)
+	sec, err := g.qr.RunPhase(name, chunks, class, weightScale, eager, consume)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return g.applyKills(name, evs, func(ev Event, deadNode int) ([]dist.Transfer, float64) {
-		return lostTransfers(transfers, g.preResolve(transfers), deadNode, killFrac(ev))
-	})
-}
-
-// RunPipelined runs one pipelined movement phase under fault injection.
-// A kill at this ordinal lands at the chunk boundary nearest Frac: data
-// sent to the dead host in any chunk is lost (the receiver died with
-// it), data from the dead host is lost for chunks at or past the death
-// point (earlier chunks were already delivered and consumed).
-func (g *Guard) RunPipelined(name string, chunks []dist.Chunk, class string, weightScale float64, consume func(k int) error) error {
-	idx := g.phase
-	g.phase++
-	evs := g.m.claimPhaseEvents(idx)
-	if err := g.applyLinkFaults(evs); err != nil {
-		return err
-	}
-	if err := g.qr.RunPipelined(name, chunks, class, weightScale, consume); err != nil {
-		return err
-	}
-	return g.applyKills(name, evs, func(ev Event, deadNode int) ([]dist.Transfer, float64) {
-		k0 := int(killFrac(ev) * float64(len(chunks)))
-		if k0 >= len(chunks) {
-			k0 = len(chunks) - 1
-		}
-		var lost []dist.Transfer
-		lostBytes := 0.0
-		for k, ch := range chunks {
-			pre := g.preResolve(ch.Transfers)
-			frac := 0.0 // chunks at/past the death point delivered nothing from the dead host
-			if k < k0 {
-				frac = 1 // earlier chunks were already delivered and consumed
-			}
-			l, b := lostTransfers(ch.Transfers, pre, deadNode, frac)
-			lost = append(lost, l...)
-			lostBytes += b
-		}
-		return lost, lostBytes
-	})
+	return sec, g.applyKills(name, evs, chunks)
 }
 
 // preResolve snapshots the transfers' endpoint resolution under current
@@ -114,6 +77,15 @@ func killFrac(ev Event) float64 {
 		return 0.5
 	}
 	return ev.Frac
+}
+
+// deliveredFrac is the share of chunk k of n that had left a host when
+// it died frac of the way through the phase. Chunks transmit in order,
+// so the death point frac·n falls inside one chunk: earlier chunks were
+// fully delivered, later ones not at all, and the boundary chunk in
+// proportion. With one chunk — the bulk engine — it is frac itself.
+func deliveredFrac(frac float64, k, n int) float64 {
+	return min(1, max(0, frac*float64(n)-float64(k)))
 }
 
 // lostTransfers selects the transfers a host death invalidates, given
@@ -161,10 +133,11 @@ func (g *Guard) applyLinkFaults(evs []Event) error {
 
 // applyKills lands kill events after their phase ran: the worker dies,
 // the Manager repairs replication, and the query re-ships whatever the
-// phase lost — computed by the select callback against the *pre-kill*
-// resolution — under the new placement, charging the recovery network
+// phase's chunks lost — selected against the *pre-kill* resolution,
+// chunk k counting deliveredFrac of its flows out of the dead host as
+// delivered — under the new placement, charging the recovery network
 // time plus the modeled re-derivation of the lost bytes.
-func (g *Guard) applyKills(name string, evs []Event, selectLost func(Event, int) ([]dist.Transfer, float64)) error {
+func (g *Guard) applyKills(name string, evs []Event, chunks []dist.Chunk) error {
 	for _, ev := range evs {
 		if ev.Kind != EventKill {
 			continue
@@ -175,14 +148,20 @@ func (g *Guard) applyKills(name string, evs []Event, selectLost func(Event, int)
 		if err != nil {
 			return fmt.Errorf("lifecycle: phase %s: %w", name, err)
 		}
-		lost, lostBytes := selectLost(ev, deadNode)
+		var lost []dist.Transfer
+		lostBytes := 0.0
+		for k, ch := range chunks {
+			l, b := lostTransfers(ch.Transfers, g.preResolve(ch.Transfers), deadNode, deliveredFrac(killFrac(ev), k, len(chunks)))
+			lost = append(lost, l...)
+			lostBytes += b
+		}
 		_, remapped, err := g.m.Kill(ev.Worker)
 		if err != nil {
 			return fmt.Errorf("lifecycle: phase %s: %w", name, err)
 		}
 		recSec := 0.0
 		if len(lost) > 0 {
-			recSec, err = g.qr.RunPhaseMeasured("recover:"+name, lost, "", 0)
+			recSec, err = g.qr.RunPhase("recover:"+name, []dist.Chunk{{Transfers: lost}}, "", 0, false, nil)
 			if err != nil {
 				return err
 			}

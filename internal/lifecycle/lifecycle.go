@@ -269,7 +269,7 @@ func (m *Manager) charge(name, class string, ts []dist.Transfer) (float64, float
 	}
 	qr := m.fab.NewQueryQoS(nil, class, 0)
 	qr.SetHostResolver(func(i int) int { return i })
-	err := qr.RunPipelined(name, []dist.Chunk{{Transfers: ts}}, "", 0, func(int) error { return nil })
+	_, err := qr.RunPhase(name, []dist.Chunk{{Transfers: ts}}, "", 0, true, nil)
 	st := qr.Finish()
 	if err != nil {
 		return bytes, st.NetSeconds, fmt.Errorf("lifecycle: %s: %w", name, err)

@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,6 +222,74 @@ func TestSeededDeterministic(t *testing.T) {
 	for _, ev := range a.Events {
 		if ev.Worker < 0 || ev.Worker >= 4 {
 			t.Fatalf("seeded worker out of range: %+v", ev)
+		}
+	}
+}
+
+// TestKillLossRule: chunk k of n was clamp(Frac·n − k, 0, 1) delivered
+// out of a host that died Frac through the phase. With one chunk (the
+// bulk engine) that is Frac itself; with n chunks the boundary chunk
+// counts as partly delivered. Through a Guard, a uniform payload loses
+// the same bytes whether it moved as one chunk or four: (1−Frac) of
+// what the dead host sent, plus everything sent to it.
+func TestKillLossRule(t *testing.T) {
+	for _, f := range []float64{0.1, 0.5, 0.6, 1} {
+		if got := deliveredFrac(f, 0, 1); got != f {
+			t.Fatalf("n=1 frac=%v: delivered %v, want frac itself", f, got)
+		}
+	}
+	for _, c := range []struct {
+		frac float64
+		want [4]float64
+	}{
+		{0.5, [4]float64{1, 1, 0, 0}},
+		{0.6, [4]float64{1, 1, 0.4, 0}},
+		{0.1, [4]float64{0.4, 0, 0, 0}},
+		{1, [4]float64{1, 1, 1, 1}},
+	} {
+		for k, want := range c.want {
+			if got := deliveredFrac(c.frac, k, 4); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("n=4 frac=%v chunk %d: delivered %v, want %v", c.frac, k, got, want)
+			}
+		}
+	}
+
+	lost := func(n int, eager bool) float64 {
+		plan, err := ParsePlan("kill:1@0:0.6", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newTestManager(t, 2, plan)
+		qr := m.fab.NewQuery()
+		defer qr.Close()
+		g := m.NewGuard(qr)
+		chunks := make([]dist.Chunk, n)
+		for k := range chunks {
+			chunks[k].Transfers = []dist.Transfer{
+				{Src: 1, Dst: 3, Bytes: 4e6 / float64(n)}, // out of the dead host
+				{Src: 0, Dst: 1, Bytes: 1e6 / float64(n)}, // into it
+				{Src: 2, Dst: 3, Bytes: 1e6 / float64(n)}, // untouched
+			}
+		}
+		if _, err := g.RunPhase("move", chunks, "", 0, eager, nil); err != nil {
+			t.Fatal(err)
+		}
+		st := qr.Finish()
+		for _, p := range st.Phases {
+			if p.Name == "recover:move" {
+				return p.Bytes
+			}
+		}
+		t.Fatalf("n=%d: no recover phase in %+v", n, st.Phases)
+		return 0
+	}
+	want := 4e6*(1-0.6) + 1e6
+	for _, run := range []struct {
+		n     int
+		eager bool
+	}{{1, false}, {1, true}, {4, true}} {
+		if got := lost(run.n, run.eager); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("n=%d eager=%v: re-shipped %v bytes, want %v", run.n, run.eager, got, want)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dist"
 	"repro/internal/exec"
@@ -163,7 +164,7 @@ func (st *distStream) reseq(workers int) error {
 	}
 	seqCol := len(st.schema)
 	var rank int64
-	dist.ForEachBySeq(st.base, seqCol, func(shard, row int) {
+	dist.NewSeqMerger(st.base, seqCol).Take(math.MaxInt, func(shard, row int) {
 		st.base[shard].Rows[row][seqCol] = relational.IntV(rank)
 		rank++
 	})
@@ -296,11 +297,13 @@ type distExec struct {
 	distJoin string // "", "auto", "broadcast", "repartition"
 	class    string
 	weight   float64
-	// chunkRows > 0 pipelines every movement phase: payloads split into
-	// seq-rank chunks admitted as eager fabric sub-rounds while the
-	// receiving side digests the previous chunk (incremental hash builds,
-	// generation-wise partial-agg folds, streaming seq merge). 0 is the
-	// bulk engine, bit-identical with pre-pipeline code paths.
+	// chunkRows is the movement chunk size. Every broadcast, shuffle and
+	// gather is a list of dist.Chunks plus a consumer that digests each
+	// landed chunk (incremental hash builds, partial-agg folds, streaming
+	// seq merge). ≤ 0 is the bulk engine: one covering chunk per phase,
+	// admitted at the barrier. > 0 pipelines: chunks of at most chunkRows
+	// rows (groups, for partial aggregates) admitted as eager sub-rounds
+	// while the consumer digests the previous one.
 	chunkRows int
 	// place holds one device placer per shard (nil on the homogeneous
 	// engine): forks of the query placer, so every simulated worker
@@ -327,34 +330,31 @@ type distExec struct {
 	guard *lifecycle.Guard
 }
 
-// attachGuard wires the execution into the elastic cluster view: the
+// mover runs one execution's movement phases: the lifecycle guard when
+// one is attached, the query run itself otherwise. Both implement the
+// same phase call (see dist.QueryRun.RunPhase).
+type mover interface {
+	RunPhase(name string, chunks []dist.Chunk, class string, weightScale float64, eager bool, consume func(k int) error) (float64, error)
+}
+
+// attachGuard wires the execution into the elastic cluster view and
+// returns the mover its phases run through. With a lifecycle manager the
 // guard installs itself as qr's host resolver and every later phase and
-// fragment round routes through it. A nil manager leaves the run on the
-// static placement.
-func (e *distExec) attachGuard(qr *dist.QueryRun) {
-	if e.lcm != nil {
-		e.guard = e.lcm.NewGuard(qr)
+// fragment round routes through it; without one the run stays on the
+// static placement and its phases go straight to qr.
+func (e *distExec) attachGuard(qr *dist.QueryRun) mover {
+	if e.lcm == nil {
+		return qr
 	}
+	e.guard = e.lcm.NewGuard(qr)
+	return e.guard
 }
 
-// runPhase routes one bulk movement phase through the lifecycle guard
-// when one is active (fault injection, replica-aware endpoints) and
-// straight to the query run otherwise — the pre-lifecycle path,
-// bit-identical.
-func (e *distExec) runPhase(qr *dist.QueryRun, name string, transfers []dist.Transfer, class string, weightScale float64) error {
-	if e.guard != nil {
-		return e.guard.RunPhase(name, transfers, class, weightScale)
-	}
-	return qr.RunPhaseQoS(name, transfers, class, weightScale)
-}
-
-// runPipelined is runPhase for chunked movement phases.
-func (e *distExec) runPipelined(qr *dist.QueryRun, name string, chunks []dist.Chunk, class string, weightScale float64, consume func(k int) error) error {
-	if e.guard != nil {
-		return e.guard.RunPipelined(name, chunks, class, weightScale, consume)
-	}
-	return qr.RunPipelined(name, chunks, class, weightScale, consume)
-}
+// pipelined reports whether movement phases are chunked and admitted
+// eagerly. Bulk phases (one covering chunk) wait at the admission
+// barrier instead: eager submission would let concurrent queries' phases
+// split into separate rounds by wall-clock interleaving.
+func (e *distExec) pipelined() bool { return e.chunkRows > 0 }
 
 // dispatchers builds one per-shard dispatcher for a kernel, or nil on
 // the homogeneous engine. Each distStream decorator that lowers a
@@ -413,7 +413,10 @@ func (e *distExec) chooseMovement(buildBytes, probeBytes []float64) string {
 // joinStage runs one join's data movement and appends the join decorator:
 // the probe side's stream (and seq lineage) becomes the new current
 // stream, exactly as the single-node probe side drives its output order.
-func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStream, jp *distJoinPlan, ji int) (*distStream, error) {
+// The movement's consumer fills each destination's hash table as chunks
+// land, so every shard's join probes a table that is ready the moment
+// the last chunk drains.
+func (e *distExec) joinStage(mv mover, st *distStream, right *distStream, jp *distJoinPlan, ji int) (*distStream, error) {
 	if err := st.materialize(e.workers); err != nil {
 		return nil, err
 	}
@@ -444,61 +447,43 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 	buildWidth := len(build.schema)
 	movement := e.chooseMovement(build.bytes(), probe.bytes())
 
-	// buildFor lowers shard s's build stream (the bulk path); preFor,
-	// when set instead, yields the incrementally appended hash table the
-	// pipelined movement already filled (see RunPipelined below).
-	var buildFor func(s int) (relational.BatchOp, error)
-	var preFor func(s int) *relational.HashBuild
+	// tables[s] is the hash table shard s probes; the consumer appends
+	// each landed chunk's build rows in seq order, which reproduces the
+	// serial engine's insertion order exactly.
+	tables := make([]*relational.HashBuild, len(build.base))
+	phase := "shuffle"
+	var chunks []dist.Chunk
+	var consume func(k int) error
 	out := &distStream{schema: combined, cancel: cancel, joined: true, dx: e}
-	switch {
-	case movement == "broadcast" && e.chunkRows > 0:
-		// Pipelined replication: the merged build side streams out in
-		// seq-rank chunks, and the shared hash table fills while the next
-		// chunk's flows are in flight. Appending chunk prefixes of the
-		// seq-merged relation reproduces the bulk build's insertion order
-		// exactly.
-		merged, chunks, bounds := dist.BroadcastChunks(build.base, buildWidth, true, e.chunkRows)
+	if movement == "broadcast" {
+		phase = "broadcast"
+		// Replicate the seq-merged build side to every worker, which all
+		// probe one shared table; the probe side does not move.
+		merged, bChunks, bounds := dist.BroadcastChunks(build.base, buildWidth, true, e.chunkRows)
 		pre, err := relational.NewHashBuild(merged.Schema, buildCol)
 		if err != nil {
 			return nil, err
 		}
+		for s := range tables {
+			tables[s] = pre
+		}
 		prev := 0
-		consume := func(k int) error {
+		chunks = bChunks
+		consume = func(k int) error {
 			pre.Append(merged.Rows[prev:bounds[k]])
 			prev = bounds[k]
 			return nil
 		}
-		if err := e.runPipelined(qr, fmt.Sprintf("broadcast#%d", ji), chunks, "", 0, consume); err != nil {
-			return nil, err
-		}
 		out.base = probe.base
-		preFor = func(int) *relational.HashBuild { return pre }
-	case movement == "broadcast":
-		// Replicate the whole build side to every worker; the probe side
-		// does not move.
-		buildRel, transfers := dist.Broadcast(build.base, buildWidth, true)
-		if err := e.runPhase(qr, fmt.Sprintf("broadcast#%d", ji), transfers, "", 0); err != nil {
-			return nil, err
-		}
-		out.base = probe.base
-		buildFor = func(int) (relational.BatchOp, error) {
-			return relational.NewBatchScan(buildRel), nil
-		}
-	case e.chunkRows > 0:
-		// Pipelined shuffle: both sides' buckets move in seq-rank chunks
-		// (build transfers ahead of probe transfers within each chunk,
-		// exactly the bulk phase's flow order), and every destination's
-		// hash table inserts its landed build prefix while the next chunk
-		// drains. Probe rows charge consumer compute too — they must be
-		// received and staged into their buckets before the probe scan —
-		// though only the build side feeds the incremental hash table.
+	} else {
+		// Hash-repartition both sides on the join key. Each chunk carries
+		// the build transfers ahead of the probe transfers; probe rows
+		// charge consumer compute too — they must be received and staged
+		// into their buckets before the probe scan — though only the
+		// build side feeds the hash tables.
 		buildB, bChunks, bCum := dist.RepartitionChunks(build.base, buildCol, buildWidth, e.chunkRows)
 		probeB, pChunks, _ := dist.RepartitionChunks(probe.base, probeCol, len(probe.schema), e.chunkRows)
-		n := len(bChunks)
-		if len(pChunks) > n {
-			n = len(pChunks)
-		}
-		chunks := make([]dist.Chunk, n)
+		chunks = make([]dist.Chunk, max(len(bChunks), len(pChunks)))
 		for k := range chunks {
 			var ts []dist.Transfer
 			if k < len(bChunks) {
@@ -511,16 +496,14 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 			}
 			chunks[k].Transfers = ts
 		}
-		buildVisible := build.schema
-		pres := make([]*relational.HashBuild, len(buildB))
-		for i := range pres {
+		for d := range tables {
 			var err error
-			if pres[i], err = relational.NewHashBuild(buildVisible, buildCol); err != nil {
+			if tables[d], err = relational.NewHashBuild(build.schema, buildCol); err != nil {
 				return nil, err
 			}
 		}
 		prev := make([]int, len(buildB))
-		consume := func(k int) error {
+		consume = func(k int) error {
 			if k >= len(bCum) {
 				return nil
 			}
@@ -533,48 +516,21 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 				for i, r := range rows {
 					stripped[i] = r[:buildWidth]
 				}
-				pres[d].Append(stripped)
+				tables[d].Append(stripped)
 				prev[d] = bCum[k][d]
 			}
 			return nil
 		}
-		if err := e.runPipelined(qr, fmt.Sprintf("shuffle#%d", ji), chunks, "", 0, consume); err != nil {
-			return nil, err
-		}
 		out.base = probeB
-		preFor = func(s int) *relational.HashBuild { return pres[s] }
-	default:
-		// Hash-repartition both sides on the join key; bucket p's build
-		// rows arrive seq-sorted, preserving the serial insertion order.
-		buildB, tA := dist.Repartition(build.base, buildCol, buildWidth)
-		probeB, tB := dist.Repartition(probe.base, probeCol, len(probe.schema))
-		if err := e.runPhase(qr, fmt.Sprintf("shuffle#%d", ji), append(tA, tB...), "", 0); err != nil {
-			return nil, err
-		}
-		out.base = probeB
-		buildVisible := build.schema
-		buildFor = func(s int) (relational.BatchOp, error) {
-			return pickProject(relational.NewBatchScan(buildB[s]), buildVisible, identityPicks(buildWidth))
-		}
+	}
+	if _, err := mv.RunPhase(fmt.Sprintf("%s#%d", phase, ji), chunks, "", 0, e.pipelined(), consume); err != nil {
+		return nil, err
 	}
 	workers, swapped := e.workers, jp.swapped
 	out.decor = append(out.decor, func(s int, op relational.BatchOp) (relational.BatchOp, error) {
-		var jn *relational.BatchHashJoin
-		if preFor != nil {
-			var err error
-			jn, err = relational.NewBatchHashJoinPrebuilt(preFor(s), op, probeCol, workers)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			bop, err := buildFor(s)
-			if err != nil {
-				return nil, err
-			}
-			jn, err = relational.NewBatchHashJoin(bop, op, buildCol, probeCol, workers)
-			if err != nil {
-				return nil, err
-			}
+		jn, err := relational.NewBatchHashJoinPrebuilt(tables[s], op, probeCol, workers)
+		if err != nil {
+			return nil, err
 		}
 		if s < len(e.shardBudget) && e.shardBudget[s] != nil {
 			jn.SetBudget(e.shardBudget[s])
@@ -742,7 +698,7 @@ func (pl *planner) planDistStmt(stmt *SelectStmt) (*Planned, error) {
 		chunkRows: pl.cfg.PipelineChunkRows,
 		lcm:       pl.eng.Lifecycle(),
 	}
-	if dx.chunkRows > 0 {
+	if dx.pipelined() {
 		p.Steps = append(p.Steps, fmt.Sprintf("pipeline: chunked movement (%d rows/chunk, eager sub-rounds; gather weight x%d)",
 			dx.chunkRows, dist.GatherWeightBoost))
 	}
@@ -780,11 +736,11 @@ func (pl *planner) planDistStmt(stmt *SelectStmt) (*Planned, error) {
 	}
 	// runJoins executes the shared front of the query: leg fragments,
 	// join movements, residual filter.
-	runJoins := func(qr *dist.QueryRun) (*distStream, error) {
+	runJoins := func(mv mover) (*distStream, error) {
 		st := legPlans[0].stream(dx)
 		for ji, jp := range joinPlans {
 			var err error
-			st, err = dx.joinStage(qr, st, legPlans[jp.rightIdx].stream(dx), jp, ji)
+			st, err = dx.joinStage(mv, st, legPlans[jp.rightIdx].stream(dx), jp, ji)
 			if err != nil {
 				return nil, err
 			}
@@ -810,7 +766,7 @@ func (pl *planner) planDistStmt(stmt *SelectStmt) (*Planned, error) {
 // the coordinator's first-seen merge feeding the single-node post-plan
 // (HAVING / ORDER BY / projection / LIMIT).
 func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, combined relational.Schema,
-	dx *distExec, runJoins func(*dist.QueryRun) (*distStream, error)) (*Planned, error) {
+	dx *distExec, runJoins func(mover) (*distStream, error)) (*Planned, error) {
 	if stmt.Star {
 		return nil, fmt.Errorf("sql: SELECT * cannot be combined with aggregation")
 	}
@@ -843,8 +799,8 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 		// deregister from the shared fabric, or concurrent queries would
 		// wait for it at the admission barrier forever.
 		defer qr.Close()
-		dx.attachGuard(qr)
-		st, err := runJoins(qr)
+		mv := dx.attachGuard(qr)
+		st, err := runJoins(mv)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -859,50 +815,38 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 		if err != nil {
 			return nil, nil, err
 		}
-		var merged *relational.PartialAgg
-		if dx.chunkRows > 0 {
-			// Pipelined gather: each shard's partial splits into
-			// generations of at most chunkRows groups, shipped as chunks;
-			// per-shard accumulators fold generation k while generation
-			// k+1 is in flight, reconstructing each shard's partial
-			// exactly (same group states, same first-seen order), so the
-			// final shard-order fold is bit-identical to the bulk merge.
-			subs := make([][]*relational.PartialAgg, len(partials))
-			for i, pa := range partials {
-				subs[i] = pa.SplitChunks(dx.chunkRows)
-			}
-			acc := make([]*relational.PartialAgg, len(partials))
-			for i := range acc {
-				acc[i] = relational.NewPartialAgg(ap.groupCols, ap.aggSpecs)
-			}
-			consume := func(k int) error {
-				for i := range subs {
-					if k < len(subs[i]) {
-						acc[i].MergeFrom(subs[i][k])
-					}
+		// Gather the partials: each shard's partial splits into generations
+		// of at most chunkRows groups (one unsplit partial on the bulk
+		// engine). Shard i's accumulator adopts its first generation and
+		// folds generation k while generation k+1 is in flight,
+		// reconstructing the shard's partial exactly (same group states,
+		// same first-seen order), so the final shard-order fold is
+		// bit-identical at every chunk size.
+		subs := make([][]*relational.PartialAgg, len(partials))
+		for i, pa := range partials {
+			subs[i] = pa.SplitChunks(dx.chunkRows)
+		}
+		acc := make([]*relational.PartialAgg, len(partials))
+		consume := func(k int) error {
+			for i, sub := range subs {
+				if k >= len(sub) {
+					continue
 				}
-				return nil
+				if acc[i] == nil {
+					acc[i] = sub[k]
+				} else {
+					acc[i].MergeFrom(sub[k])
+				}
 			}
-			chunks := dist.PartialGatherChunks(subs)
-			if err := dx.runPipelined(qr, "gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
-				return nil, nil, err
-			}
-			merged = acc[0]
-			for _, pa := range acc[1:] {
-				merged.MergeFrom(pa)
-			}
-		} else {
-			bytes := make([]float64, len(partials))
-			for i, pa := range partials {
-				bytes[i] = pa.EncodedBytes()
-			}
-			if err := dx.runPhase(qr, "gather", dist.GatherTransfers(bytes), dist.GatherClass, dist.GatherWeightBoost); err != nil {
-				return nil, nil, err
-			}
-			merged = partials[0]
-			for _, pa := range partials[1:] {
-				merged.MergeFrom(pa)
-			}
+			return nil
+		}
+		chunks := dist.PartialGatherChunks(subs)
+		if _, err := mv.RunPhase("gather", chunks, dist.GatherClass, dist.GatherWeightBoost, dx.pipelined(), consume); err != nil {
+			return nil, nil, err
+		}
+		merged := acc[0]
+		for _, pa := range acc[1:] {
+			merged.MergeFrom(pa)
 		}
 		aggRel := relational.NewRelation("agg", aggOutSchema)
 		aggRel.Rows = merged.EmitRows(aggOutSchema, true)
@@ -930,7 +874,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 // strips keys and applies LIMIT. Without ORDER BY each shard also caps
 // its stream at LIMIT locally.
 func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combined relational.Schema,
-	dx *distExec, runJoins func(*dist.QueryRun) (*distStream, error)) (*Planned, error) {
+	dx *distExec, runJoins func(mover) (*distStream, error)) (*Planned, error) {
 	items := stmt.Items
 	if stmt.Star {
 		items = starItems(stmt, sc)
@@ -960,8 +904,8 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combi
 	run := func() (*relational.Relation, *dist.QueryStats, error) {
 		qr := dx.newQuery()
 		defer qr.Close() // deregister from the shared fabric on error paths
-		dx.attachGuard(qr)
-		st, err := runJoins(qr)
+		mv := dx.attachGuard(qr)
+		st, err := runJoins(mv)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -975,28 +919,23 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combi
 			return nil, nil, err
 		}
 		seqCol := len(wideSchema)
-		var merged *relational.Relation
-		if dx.chunkRows > 0 {
-			// Pipelined gather: the coordinator's seq merge advances to
-			// each chunk's global row bound while the next chunk's flows
-			// drain, reproducing MergeBySeq's row order incrementally.
-			chunks, bounds := dist.GatherChunks(st.base, seqCol, dx.chunkRows)
-			merged = relational.NewRelation("gathered", st.base[0].Schema[:seqCol])
-			merger := dist.NewSeqMerger(st.base, seqCol)
-			consume := func(k int) error {
-				merger.Take(bounds[k], func(shard, row int) {
-					merged.Rows = append(merged.Rows, st.base[shard].Rows[row][:seqCol])
-				})
-				return nil
-			}
-			if err := dx.runPipelined(qr, "gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			if err := dx.runPhase(qr, "gather", dist.GatherTransfers(st.bytes()), dist.GatherClass, dist.GatherWeightBoost); err != nil {
-				return nil, nil, err
-			}
-			merged = dist.MergeBySeq("gathered", st.base, seqCol, true)
+		// The coordinator's seq merge advances to each chunk's global row
+		// bound while the next chunk's flows drain; one covering chunk
+		// merges everything once it has landed.
+		chunks, bounds := dist.GatherChunks(st.base, seqCol, dx.chunkRows)
+		merged := relational.NewRelation("gathered", st.base[0].Schema[:seqCol])
+		if len(bounds) > 0 {
+			merged.Rows = make([]relational.Row, 0, bounds[len(bounds)-1])
+		}
+		merger := dist.NewSeqMerger(st.base, seqCol)
+		consume := func(k int) error {
+			merger.Take(bounds[k], func(shard, row int) {
+				merged.Rows = append(merged.Rows, st.base[shard].Rows[row][:seqCol])
+			})
+			return nil
+		}
+		if _, err := mv.RunPhase("gather", chunks, dist.GatherClass, dist.GatherWeightBoost, dx.pipelined(), consume); err != nil {
+			return nil, nil, err
 		}
 		var op relational.Op = relational.NewScan(merged)
 		if len(keyCols) > 0 {

@@ -312,7 +312,7 @@ func (e *Engine) billIngest(rel *relational.Relation, rows []relational.Row, sta
 		}
 	}
 	qr := fab.NewQueryQoS(nil, IngestClass, 0)
-	if err := qr.RunPhase("ingest", transfers); err != nil {
+	if _, err := qr.RunPhase("ingest", []dist.Chunk{{Transfers: transfers}}, "", 0, false, nil); err != nil {
 		qr.Close()
 		return 0
 	}

@@ -45,17 +45,18 @@ type QueryOptions struct {
 	// DRAM is deliberately not a spill target — spilling to the tier the
 	// budget models is a no-op, not an out-of-core strategy.
 	SpillTier string `json:"spill_tier,omitempty"`
-	// PipelineChunkRows turns on pipelined distributed movement: every
-	// bulk phase (broadcast, shuffle, gather) splits into chunks of at
-	// most this many rows, admitted on the shared fabric as eager
-	// sub-rounds while receivers consume the previous chunk — hash-join
-	// build tables fill as repartitioned rows land, partial-aggregate
-	// merges fold generation by generation, the final gather streams
-	// into the seq merge. Overlap is measured, not assumed: the modeled
-	// compute/network overlap lands in Result.Net.OverlapSeconds.
-	// Chunking never changes answers — chunk boundaries derive from the
-	// deterministic seq tags — and 0 (the default, "chunk size
-	// infinity") is the bulk engine. Like MemoryBudget, an override can
+	// PipelineChunkRows is the distributed movement chunk size. Every
+	// phase (broadcast, shuffle, gather) moves as chunks that a receiver
+	// consumes as they land — hash-join build tables fill as
+	// repartitioned rows arrive, partial-aggregate merges fold
+	// generation by generation, the final gather streams into the seq
+	// merge. A positive size splits each phase into chunks of at most
+	// this many rows, admitted on the shared fabric as eager sub-rounds
+	// while the receiver consumes the previous chunk; the modeled
+	// compute/network overlap lands in Result.Net.OverlapSeconds. 0 (the
+	// default) is the bulk engine: one chunk per phase, admitted at the
+	// barrier. Chunking never changes answers — chunk boundaries derive
+	// from the deterministic seq tags. Like MemoryBudget, an override can
 	// ask for finer chunks but cannot force the bulk path back on.
 	PipelineChunkRows int `json:"pipeline_chunk_rows,omitempty"`
 }
@@ -108,7 +109,7 @@ func (o QueryOptions) Validate() error {
 func (o *QueryOptions) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "workers", o.Workers, "batch engine workers per host (0 = NumCPU)")
 	fs.StringVar(&o.DistJoin, "dist-join", o.DistJoin, "distributed join movement: auto, broadcast, repartition (empty = auto)")
-	fs.IntVar(&o.PipelineChunkRows, "pipeline-chunk", o.PipelineChunkRows, "pipelined movement chunk size in rows; phases overlap compute with the next chunk's flows (0 = bulk phases)")
+	fs.IntVar(&o.PipelineChunkRows, "pipeline-chunk", o.PipelineChunkRows, "movement chunk size in rows; chunks are admitted eagerly and overlap compute with the next chunk's flows (0 = one chunk per phase, admitted at the barrier)")
 	fs.Int64Var(&o.MemoryBudget, "mem-budget", o.MemoryBudget, "operator-state memory budget in bytes; overflow spills to -spill-tier (0 = unbudgeted)")
 	fs.StringVar(&o.SpillTier, "spill-tier", o.SpillTier, "spill tier for budget overflow: "+strings.Join(memtier.SpillTiers, ", ")+" (default ssd when budgeted)")
 }

@@ -234,3 +234,31 @@ func TestPipelineGatherWeightBoost(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineKillOneChunkMatchesBulk: a worker killed halfway through
+// the shuffle of a replication-2, 4-shard repartition join loses the
+// same data whether the shuffle moved bulk or as one covering pipelined
+// chunk — one kill-loss rule serves both — so rows, modeled recovery
+// seconds and retried fragments all match.
+func TestPipelineKillOneChunkMatchesBulk(t *testing.T) {
+	run := func(chunk int) *Result {
+		sess := chaosEngine(t, 2, "kill:1@0:0.5").Session()
+		sess.PipelineChunkRows = chunk
+		res, err := sess.Query(context.Background(), chaosQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	bulk, one := run(0), run(1<<30)
+	if !reflect.DeepEqual(bulk.Rows.Rows, one.Rows.Rows) {
+		t.Fatalf("one-chunk kill rows diverged from bulk:\n%v\nvs\n%v", one.Rows.Rows, bulk.Rows.Rows)
+	}
+	if bulk.Net.RecoverySeconds <= 0 {
+		t.Fatalf("bulk kill modeled no recovery: %+v", bulk.Net)
+	}
+	if one.Net.RecoverySeconds != bulk.Net.RecoverySeconds || one.Net.RetriedFragments != bulk.Net.RetriedFragments {
+		t.Fatalf("one-chunk kill recovery {%v s, %d retried} vs bulk {%v s, %d retried}",
+			one.Net.RecoverySeconds, one.Net.RetriedFragments, bulk.Net.RecoverySeconds, bulk.Net.RetriedFragments)
+	}
+}

@@ -497,3 +497,36 @@ func mustNorm2(b *testing.B, spec WindowSpec) WindowSpec {
 	}
 	return s
 }
+
+// TestPrimeAllocScalesWithRows: priming a subscription with a large
+// table spread over many panes allocates in proportion to the rows, not
+// rows × panes. Each pane's staging batch grows with its own rows; a
+// batch sized to the whole input per touched pane would ask for over
+// 1000× the rows' encoded size here. In-memory rows (40-byte Values),
+// pane batches and aggregate state come to about 15× the encoded size,
+// so the bound is 32×.
+func TestPrimeAllocScalesWithRows(t *testing.T) {
+	const rows, panes = 100_000, 1000
+	events := make([]relational.Row, rows)
+	encoded := 0.0
+	for i := range events {
+		events[i] = ev(fmt.Sprintf("k%d", i%8), int64(i/(rows/panes)), int64(i))
+		encoded += events[i].EncodedBytes()
+	}
+	w := newWindower(testQuery(t, nil), mustNorm(t, WindowSpec{TimeCol: "t", Size: 1}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wins, err := w.observe(events)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wins) != panes-1 {
+		t.Fatalf("emitted %d windows, want %d", len(wins), panes-1)
+	}
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("prime of %d rows over %d panes allocated %.1f MB (%.1fx the rows' %.1f MB encoded)", rows, panes, alloc/1e6, alloc/encoded, encoded/1e6)
+	if alloc > 32*encoded {
+		t.Fatalf("priming allocated %.0f bytes, more than 32x the rows' %.0f encoded bytes", alloc, encoded)
+	}
+}

@@ -144,7 +144,9 @@ func (w *windower) observe(rows []relational.Row) ([]Window, error) {
 		}
 		b := batches[pS]
 		if b == nil {
-			b = relational.NewBatch(w.preSeq, len(rows))
+			// Grow on append: a batch spread over many panes would
+			// otherwise reserve len(rows) for every pane it touches.
+			b = relational.NewBatch(w.preSeq, 0)
 			batches[pS] = b
 			touched = append(touched, pS)
 		}
