@@ -51,6 +51,26 @@ import (
 	"repro/internal/sql"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers, so a trickled header cannot hold a connection open;
+// an idle keep-alive connection is closed after idleTimeout. There is
+// deliberately no WriteTimeout: /v1/stream NDJSON subscriptions stay open
+// as long as the subscriber reads.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's http.Server on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rethinkd: ")
@@ -113,7 +133,7 @@ func main() {
 	}
 	srv := serve.New(eng, tenants, serve.Options{CacheCap: *cacheCap})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
 

@@ -32,6 +32,8 @@ import (
 // idle between rounds), so identical rounds replay with bit-identical
 // arithmetic no matter how much virtual time earlier rounds consumed;
 // BusySeconds accumulates the round makespans for utilization windows.
+// A round injects all of its flows before allocating, so admitting it
+// costs one allocator pass however many flows it carries.
 //
 // Pipelined workloads split a phase into chunks and offer each via
 // SubmitEager: an eager submission triggers a sub-round immediately with
@@ -417,13 +419,16 @@ func (a *Admission) eagerPending() bool {
 
 // runRound admits every pending submission at virtual time zero, runs
 // the simulator until all of the round's flows complete, and records
-// per-submission makespans. In a bulk-synchronous round every party has
-// a submission; in an eager sub-round parties that are still computing
-// have none and are skipped. Between collecting the round's requests and
-// injecting them, the controller (if any) observes the pending flows
-// plus link state and may override any flow's route or weight. Callers
-// hold a.mu; the round runs entirely under the lock, so waiters only
-// ever observe completed rounds.
+// per-submission makespans. One allocator pass follows the injection of
+// every flow; allocating after each injection instead gives identical
+// rates, since at t=0 those passes charge and retire nothing. In a
+// bulk-synchronous round every party has a submission; in an eager
+// sub-round parties that are still computing have none and are skipped.
+// Between collecting the round's requests and injecting them, the
+// controller (if any) observes the pending flows plus link state and may
+// override any flow's route or weight. Callers hold a.mu; the round runs
+// entirely under the lock, so waiters only ever observe completed
+// rounds.
 func (a *Admission) runRound() {
 	a.sim.ResetClock()
 	// Deterministic admission order: parties by ID, requests in
@@ -532,13 +537,7 @@ func (a *Admission) runRound() {
 				}
 			}
 		}
-		f, err := a.sim.StartFlowRouted(pf.Src, pf.Dst, pf.Bytes, path, weight, pf.Class)
-		if err != nil {
-			if c.sub.err == nil {
-				c.sub.err = err
-			}
-			continue
-		}
+		f := a.sim.inject(pf.Src, pf.Dst, pf.Bytes, path, weight, pf.Class)
 		c.sub.flows = append(c.sub.flows, f)
 		nflows++
 		a.stats.Bytes += pf.Bytes
@@ -547,6 +546,7 @@ func (a *Admission) runRound() {
 		}
 		a.stats.ClassBytes[pf.Class] += pf.Bytes
 	}
+	a.sim.reallocate()
 	a.sim.Run()
 	if a.ctl != nil {
 		// Telemetry windows exist for controllers; the nil-controller

@@ -212,3 +212,20 @@ func TestAdmissionBadRequest(t *testing.T) {
 		t.Fatalf("fabric wedged after bad request: %v %v", sec, err)
 	}
 }
+
+// TestAdmissionKeepsOneRoundOfFCTs: the shared simulator's FCT sample
+// restarts every round, so a long-lived fabric does not keep the FCT of
+// every flow it ever carried.
+func TestAdmissionKeepsOneRoundOfFCTs(t *testing.T) {
+	a := NewAdmission(admissionSim())
+	p := a.Join(nil)
+	defer p.Leave()
+	for i := 0; i < 5; i++ {
+		if _, _, err := p.Submit([]FlowReq{{Src: 0, Dst: 1, Bytes: 1e6}, {Src: 2, Dst: 3, Bytes: 2e6}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := a.sim.FCTs().N(); n != 2 {
+		t.Fatalf("shared simulator holds %d FCTs after 5 rounds of 2 flows, want the last round's 2", n)
+	}
+}

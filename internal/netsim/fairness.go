@@ -1,19 +1,33 @@
 package netsim
 
-import "sort"
+// linkScratch is one directed link's allocator state for the current
+// pass. The simulator keeps one per directed link and reuses them, so a
+// pass allocates nothing once it has seen its largest flow set; flows
+// are referred to by index, so nothing here keeps a retired flow alive.
+type linkScratch struct {
+	count  int32   // active flows crossing the link
+	lo, hi int32   // max-min: the link's unfrozen flows are members[lo:hi]
+	cap    float64 // max-min: residual capacity
+}
 
-// sortedFlowIDs returns the active flow IDs in ascending order. Rate
-// computation and progress charging iterate flows in this order: Go map
-// iteration order would otherwise vary the float accumulation order and
-// bottleneck tie-breaks run to run, making simulations non-reproducible
-// (ties between equal fair shares flipped by last-ulp residue).
-func (s *Simulator) sortedFlowIDs() []int {
-	ids := make([]int, 0, len(s.flows))
-	for id := range s.flows {
-		ids = append(ids, id)
+// countLinks counts the active flows crossing each directed link and
+// lists the links in first-use order: flows in ID order, each flow's
+// links in path order.
+func (s *Simulator) countLinks() {
+	for _, f := range s.flows {
+		for _, dl := range f.links {
+			s.scratch[dl].count = 0
+		}
 	}
-	sort.Ints(ids)
-	return ids
+	s.linkOrder = s.linkOrder[:0]
+	for _, f := range s.flows {
+		for _, dl := range f.links {
+			if s.scratch[dl].count == 0 {
+				s.linkOrder = append(s.linkOrder, dl)
+			}
+			s.scratch[dl].count++
+		}
+	}
 }
 
 // maxMinRates computes progressive-filling weighted max-min fair rates
@@ -24,69 +38,68 @@ func (s *Simulator) sortedFlowIDs() []int {
 // bottleneck. With every weight exactly 1 the arithmetic reduces
 // bit-identically to the unweighted allocator: the weight sum of n flows
 // accumulates to exactly float64(n), and multiplying a share by 1.0 is
-// the identity.
+// the identity. Link capacities are read live from the topology.
 func (s *Simulator) maxMinRates() {
-	// Build directed-link usage sets, visiting flows in ID order and
-	// remembering links in first-use order so every run processes the
-	// same topology identically.
-	type linkState struct {
-		cap      float64
-		unfrozen []*Flow
+	s.countLinks()
+	n := int32(0)
+	for _, dl := range s.linkOrder {
+		l := &s.scratch[dl]
+		l.cap = s.Net.Links[dl/2].Speed.BytesPerSec()
+		l.lo, l.hi = n, n
+		n += l.count
 	}
-	links := map[dirLink]*linkState{}
-	flowLinks := map[int][]dirLink{}
-	var linkOrder []dirLink
-	flowIDs := s.sortedFlowIDs()
-	for _, id := range flowIDs {
-		f := s.flows[id]
-		f.rate = 0
-		var dls []dirLink
-		for i, lid := range f.Path.LinkIDs {
-			forward := s.Net.Links[lid].A == f.Path.NodeIDs[i]
-			dl := dirLinkID(lid, forward)
-			dls = append(dls, dl)
-			st, ok := links[dl]
-			if !ok {
-				st = &linkState{cap: s.Net.Links[lid].Speed.BytesPerSec()}
-				links[dl] = st
-				linkOrder = append(linkOrder, dl)
-			}
-			st.unfrozen = append(st.unfrozen, f)
+	if int32(cap(s.members)) < n {
+		s.members = make([]int32, n)
+	}
+	members := s.members[:n]
+	for i, f := range s.flows {
+		f.rate, f.frozen = 0, false
+		for _, dl := range f.links {
+			l := &s.scratch[dl]
+			members[l.hi] = int32(i)
+			l.hi++
 		}
-		flowLinks[f.ID] = dls
 	}
-	frozen := map[int]bool{}
-	for len(frozen) < len(s.flows) {
+	order := s.linkOrder
+	for frozen := 0; frozen < len(s.flows); {
 		// Find the bottleneck: the link with the smallest per-weight fair
 		// share among links that still carry unfrozen flows (ties break
-		// toward the earliest-seen link, deterministically).
-		var bottleneck *linkState
+		// toward the earliest-seen link). Frozen flows are compacted out
+		// of each link's list, and drained links out of the order, in
+		// place and keeping their order, so each weight sum adds the same
+		// terms in the same order pass after pass.
+		var bottleneck *linkScratch
 		bestShare := 0.0
-		for _, dl := range linkOrder {
-			st := links[dl]
+		live := order[:0]
+		for _, dl := range order {
+			l := &s.scratch[dl]
 			sumW := 0.0
-			for _, f := range st.unfrozen {
-				if !frozen[f.ID] {
+			k := l.lo
+			for _, fi := range members[l.lo:l.hi] {
+				if f := s.flows[fi]; !f.frozen {
 					sumW += f.Weight
+					members[k] = fi
+					k++
 				}
 			}
+			if l.hi = k; k == l.lo {
+				continue
+			}
+			live = append(live, dl)
 			if sumW == 0 {
 				continue
 			}
-			share := st.cap / sumW
-			if bottleneck == nil || share < bestShare {
-				bottleneck = st
-				bestShare = share
+			if share := l.cap / sumW; bottleneck == nil || share < bestShare {
+				bottleneck, bestShare = l, share
 			}
 		}
+		order = live
 		if bottleneck == nil {
 			// Remaining flows traverse no capacity-constrained links
 			// (shouldn't happen on real topologies); give them a huge rate.
-			for _, id := range flowIDs {
-				f := s.flows[id]
-				if !frozen[f.ID] {
-					f.rate = 1e18
-					frozen[f.ID] = true
+			for _, f := range s.flows {
+				if !f.frozen {
+					f.rate, f.frozen = 1e18, true
 				}
 			}
 			return
@@ -94,17 +107,16 @@ func (s *Simulator) maxMinRates() {
 		// Freeze every unfrozen flow crossing the bottleneck at its
 		// weighted share, then charge that rate against every link those
 		// flows use.
-		for _, f := range bottleneck.unfrozen {
-			if frozen[f.ID] {
+		for _, fi := range members[bottleneck.lo:bottleneck.hi] {
+			f := s.flows[fi]
+			if f.frozen {
 				continue
 			}
-			f.rate = bestShare * f.Weight
-			frozen[f.ID] = true
-			for _, dl := range flowLinks[f.ID] {
-				links[dl].cap -= f.rate
-				if links[dl].cap < 0 {
-					links[dl].cap = 0
-				}
+			f.rate, f.frozen = bestShare*f.Weight, true
+			frozen++
+			for _, dl := range f.links {
+				l := &s.scratch[dl]
+				l.cap = max(l.cap-f.rate, 0)
 			}
 		}
 	}
@@ -115,19 +127,11 @@ func (s *Simulator) maxMinRates() {
 // sharing that directed link. It never overbooks a link but can leave
 // capacity stranded relative to max-min.
 func (s *Simulator) proportionalRates() {
-	counts := map[dirLink]int{}
-	for _, f := range s.flows {
-		for i, lid := range f.Path.LinkIDs {
-			forward := s.Net.Links[lid].A == f.Path.NodeIDs[i]
-			counts[dirLinkID(lid, forward)]++
-		}
-	}
+	s.countLinks()
 	for _, f := range s.flows {
 		rate := -1.0
-		for i, lid := range f.Path.LinkIDs {
-			forward := s.Net.Links[lid].A == f.Path.NodeIDs[i]
-			dl := dirLinkID(lid, forward)
-			share := s.Net.Links[lid].Speed.BytesPerSec() / float64(counts[dl])
+		for _, dl := range f.links {
+			share := s.Net.Links[dl/2].Speed.BytesPerSec() / float64(s.scratch[dl].count)
 			if rate < 0 || share < rate {
 				rate = share
 			}

@@ -34,8 +34,9 @@ type Flow struct {
 	Done  bool
 
 	remaining float64
-	rate      float64 // current bytes/sec
-	lastTouch sim.Time
+	rate      float64   // current bytes/sec
+	links     []dirLink // directed links in path order, resolved at injection
+	frozen    bool      // max-min: rate fixed in the current pass
 }
 
 // FCT returns the flow completion time in seconds, including path
@@ -47,15 +48,9 @@ func (f *Flow) FCT() float64 {
 	return float64(f.End - f.Start)
 }
 
-// dirLink identifies one direction of a full-duplex link.
+// dirLink identifies one direction of a full-duplex link: 2*LinkID for
+// A->B, 2*LinkID+1 for B->A.
 type dirLink int
-
-func dirLinkID(linkID int, forward bool) dirLink {
-	if forward {
-		return dirLink(linkID * 2)
-	}
-	return dirLink(linkID*2 + 1)
-}
 
 // Fairness selects the bandwidth-sharing model.
 type Fairness int
@@ -78,13 +73,21 @@ type Simulator struct {
 	// ECMPWidth bounds the ECMP path set considered per flow (default 8).
 	ECMPWidth int
 
-	flows     map[int]*Flow
+	// flows are the active flows in ascending ID, the order every pass
+	// visits, so float sums and tie-breaks replay identically.
+	flows     []*Flow
+	lastPass  sim.Time // when flows were last charged
 	nextID    int
 	doneFCT   *metrics.Sample
 	doneBytes float64
 	completeC *sim.Event
 	linkBusy  []float64 // cumulative byte-seconds per directed link
 	onDone    func(*Flow)
+
+	// Allocator scratch, reused by every pass (see maxMinRates).
+	scratch   []linkScratch // per directed link
+	linkOrder []dirLink     // links in first-use order
+	members   []int32       // indices into flows, grouped by link
 }
 
 // NewSimulator returns a simulator over the given network with its own
@@ -94,17 +97,18 @@ func NewSimulator(net *topo.Network) *Simulator {
 		Net:       net,
 		Engine:    sim.NewEngine(),
 		ECMPWidth: 8,
-		flows:     map[int]*Flow{},
 		doneFCT:   metrics.NewSample(1024),
 		linkBusy:  make([]float64, len(net.Links)*2),
+		scratch:   make([]linkScratch, len(net.Links)*2),
 	}
 }
 
 // OnFlowDone registers a callback invoked when any flow completes.
 func (s *Simulator) OnFlowDone(fn func(*Flow)) { s.onDone = fn }
 
-// StartFlow routes and injects a flow of the given size now. It returns the
-// flow, or an error if no route exists.
+// StartFlow routes and injects a flow of the given size now, rerunning the
+// rate allocation at once. It returns the flow, or an error if no route
+// exists.
 func (s *Simulator) StartFlow(src, dst int, bytes float64) (*Flow, error) {
 	return s.StartFlowSeeded(src, dst, bytes, s.nextID)
 }
@@ -123,33 +127,30 @@ func (s *Simulator) StartFlowSeeded(src, dst int, bytes float64, seed int) (*Flo
 	if !ok {
 		return nil, fmt.Errorf("netsim: no route %d -> %d", src, dst)
 	}
-	return s.StartFlowRouted(src, dst, bytes, path, 1, "")
-}
-
-// StartFlowRouted injects a flow on an explicit path with an explicit
-// scheduling weight and class — the control-plane entry point: the
-// admission layer routes (or lets a Controller reroute) before
-// injection, then injects here. weight <= 0 means 1. The path must be a
-// valid src->dst walk over the simulator's links.
-func (s *Simulator) StartFlowRouted(src, dst int, bytes float64, path topo.Path, weight float64, class string) (*Flow, error) {
-	if bytes <= 0 {
-		return nil, fmt.Errorf("netsim: flow size must be positive, got %v", bytes)
-	}
-	if !validPath(s.Net, path, src, dst) {
-		return nil, fmt.Errorf("netsim: invalid path %d -> %d", src, dst)
-	}
-	if weight <= 0 {
-		weight = 1
-	}
-	id := s.nextID
-	s.nextID++
-	f := &Flow{
-		ID: id, Src: src, Dst: dst, Bytes: bytes, Path: path, Weight: weight, Class: class,
-		Start: s.Engine.Now(), remaining: bytes, lastTouch: s.Engine.Now(),
-	}
-	s.flows[id] = f
+	f := s.inject(src, dst, bytes, path, 1, "")
 	s.reallocate()
 	return f, nil
+}
+
+// inject adds a flow at the current instant on a path the caller has
+// validated, without reallocating: the caller runs reallocate once it
+// has injected everything that starts at this instant. bytes must be
+// positive and weight positive.
+func (s *Simulator) inject(src, dst int, bytes float64, path topo.Path, weight float64, class string) *Flow {
+	links := make([]dirLink, len(path.LinkIDs))
+	for i, lid := range path.LinkIDs {
+		links[i] = dirLink(2 * lid)
+		if s.Net.Links[lid].A != path.NodeIDs[i] {
+			links[i]++
+		}
+	}
+	f := &Flow{
+		ID: s.nextID, Src: src, Dst: dst, Bytes: bytes, Path: path, Weight: weight, Class: class,
+		Start: s.Engine.Now(), remaining: bytes, links: links,
+	}
+	s.nextID++
+	s.flows = append(s.flows, f)
+	return f
 }
 
 // ScheduleFlow injects a flow after the given delay.
@@ -169,17 +170,22 @@ func (s *Simulator) Run() { s.Engine.Run() }
 // Long-lived simulators that run self-contained episodes — the rounds of
 // a shared-fabric Admission — reset between episodes so each replays
 // with bit-identical float arithmetic. Cumulative link-byte counters are
-// preserved; only the timebase rewinds, so time-windowed utilization
-// readings must be taken against an externally tracked busy time.
+// preserved; the timebase rewinds, so time-windowed utilization readings
+// must be taken against an externally tracked busy time. The FCT sample
+// restarts, so a daemon's simulator does not keep every flow's FCT.
 func (s *Simulator) ResetClock() bool {
 	if len(s.flows) > 0 || s.Engine.Pending() > 0 {
 		return false
 	}
 	s.Engine.ResetClock()
+	if n := s.doneFCT.N(); n > 0 {
+		s.doneFCT = metrics.NewSample(n)
+	}
 	return true
 }
 
-// FCTs returns the sample of completed flow completion times (seconds).
+// FCTs returns the sample of completed flow completion times (seconds)
+// since the simulator was created or its clock last reset.
 func (s *Simulator) FCTs() *metrics.Sample { return s.doneFCT }
 
 // BytesDelivered returns total bytes of completed flows.
@@ -214,18 +220,6 @@ func (s *Simulator) LinkLoads() []LinkLoad {
 	return out
 }
 
-// MaxLinkUtilization returns the highest directed-link utilization over
-// [0, Now] — the hot spot the shuffle placement experiments watch.
-func (s *Simulator) MaxLinkUtilization() float64 {
-	max := 0.0
-	for _, l := range s.LinkLoads() {
-		if l.Util > max {
-			max = l.Util
-		}
-	}
-	return max
-}
-
 // MeanLinkUtilization returns the average utilization across directed
 // links over [0, Now], in [0, 1].
 func (s *Simulator) MeanLinkUtilization() float64 {
@@ -248,18 +242,14 @@ func (s *Simulator) MeanLinkUtilization() float64 {
 // float64 clock.
 func retireThreshold(f *Flow) float64 { return 1e-9 + 1e-9*f.Bytes }
 
-// advanceProgress charges each active flow for bytes sent since its last
-// touch, at its current rate.
+// advanceProgress charges each active flow for bytes sent since the last
+// pass, at its current rate. Only flows present at that pass have a
+// positive rate; flows injected since have sent nothing.
 func (s *Simulator) advanceProgress() {
-	now := s.Engine.Now()
-	for _, id := range s.sortedFlowIDs() {
-		f := s.flows[id]
-		dt := float64(now - f.lastTouch)
-		if dt > 0 && f.rate > 0 {
-			s.charge(f, f.rate*dt)
-		}
-		f.lastTouch = now
+	if dt := float64(s.Engine.Now() - s.lastPass); dt > 0 {
+		s.chargeExact(dt)
 	}
+	s.lastPass = s.Engine.Now()
 }
 
 // chargeExact charges every flow for exactly dt seconds at its current
@@ -267,14 +257,12 @@ func (s *Simulator) advanceProgress() {
 // the flow that defined the event's delay retires even when the delay is
 // too small to move the float64 clock.
 func (s *Simulator) chargeExact(dt float64) {
-	now := s.Engine.Now()
-	for _, id := range s.sortedFlowIDs() {
-		f := s.flows[id]
+	for _, f := range s.flows {
 		if f.rate > 0 {
 			s.charge(f, f.rate*dt)
 		}
-		f.lastTouch = now
 	}
+	s.lastPass = s.Engine.Now()
 }
 
 func (s *Simulator) charge(f *Flow, sent float64) {
@@ -282,26 +270,25 @@ func (s *Simulator) charge(f *Flow, sent float64) {
 		sent = f.remaining
 	}
 	f.remaining -= sent
-	s.chargeLinks(f, sent)
-}
-
-func (s *Simulator) chargeLinks(f *Flow, bytes float64) {
-	for i, lid := range f.Path.LinkIDs {
-		forward := s.Net.Links[lid].A == f.Path.NodeIDs[i]
-		s.linkBusy[dirLinkID(lid, forward)] += bytes
+	for _, dl := range f.links {
+		s.linkBusy[dl] += sent
 	}
 }
 
 // retire finishes every flow whose residue is at or below its threshold,
-// in flow-ID order so completion records are reproducible.
+// in flow-ID order so completion records are reproducible, and drops
+// the simulator's references to them.
 func (s *Simulator) retire() {
-	for _, id := range s.sortedFlowIDs() {
-		f := s.flows[id]
+	live := s.flows[:0]
+	for _, f := range s.flows {
 		if f.remaining <= retireThreshold(f) {
 			s.finish(f)
-			delete(s.flows, id)
+			continue
 		}
+		live = append(live, f)
 	}
+	clear(s.flows[len(live):])
+	s.flows = live
 }
 
 // reallocate recomputes fair rates and schedules the next completion.
@@ -349,6 +336,7 @@ func (s *Simulator) reallocate() {
 
 func (s *Simulator) finish(f *Flow) {
 	f.Done = true
+	f.links = nil
 	f.End = s.Engine.Now() + sim.Time(f.Path.DelayNS(s.Net)*1e-9)
 	s.doneFCT.Add(float64(f.End - f.Start))
 	s.doneBytes += f.Bytes
